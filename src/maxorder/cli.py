@@ -16,23 +16,17 @@ output is byte-identical across runs.
 Exit status: 0 on success (and on an affirmative check), 1 on a
 negative check, 2 on unusable input (syntax errors, composite
 characteristic, a reducible polynomial, refusals on a negative verdict,
-exhausted precision), 3 on an internal invariant violation.
+exhausted precision), 3 on an internal invariant violation or any other
+unexpected error.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__, corpus as corpus_mod, ffpoly, rings
 from .criterion import count_extensions, dedekind_verdict, split_prime
-from .errors import (
-    EngineError,
-    InputError,
-    InternalInvariantError,
-    PolyParseError,
-    PrecisionExhaustedError,
-)
+from .errors import EngineError, InputError, InternalInvariantError, PolyParseError
 from .fields import extension_field
 from .hensel import verify_valuation_identities
 from .rings import ValuedBase, poly_to_text
@@ -80,29 +74,23 @@ def _tokenize(text):
     return toks
 
 
-@dataclass(frozen=True)
-class _Algebra:
-    add: object
-    sub: object
-    neg: object
-    mul: object
-    pow: object
-    from_int: object
-    atoms: dict
-    missing: object
-
-
 class _Parser:
     """expr := ['-'] term (('+'|'-') term)*
     term := factor ('*' factor)*
     factor := atom ['^' INT]
     atom := INT | NAME | '(' expr ')'
+
+    Values are polynomials over ``domain`` (a field or a ring of ``rings``),
+    computed with ``ffpoly``. ``atoms`` maps the names in scope to their
+    values; ``missing`` maps every other name to the reason it is not.
     """
 
-    def __init__(self, toks, algebra):
+    def __init__(self, toks, domain, atoms, missing):
         self.toks = toks
         self.pos = 0
-        self.alg = algebra
+        self.domain = domain
+        self.atoms = atoms
+        self.missing = missing
 
     def peek(self):
         return self.toks[self.pos]
@@ -126,18 +114,19 @@ class _Parser:
             negate = True
         value = self.term()
         if negate:
-            value = self.alg.neg(value)
+            value = ffpoly.neg(self.domain, value)
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            value = self.alg.add(value, rhs) if op == "+" else self.alg.sub(value, rhs)
+            combine = ffpoly.add if op == "+" else ffpoly.sub
+            value = combine(self.domain, value, rhs)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            value = self.alg.mul(value, self.factor())
+            value = ffpoly.mul(self.domain, value, self.factor())
         return value
 
     def factor(self):
@@ -149,17 +138,17 @@ class _Parser:
                 raise PolyParseError("an integer exponent must follow '^'", at)
             if n > EXPONENT_CAP:
                 raise PolyParseError(f"exponent exceeds the cap of {EXPONENT_CAP}", at)
-            value = self.alg.pow(value, n)
+            value = ffpoly.pow_(self.domain, value, n)
         return value
 
     def atom(self):
         kind, val, at = self.take()
         if kind == "int":
-            return self.alg.from_int(val)
+            return ffpoly.constant(self.domain, self.domain.from_int(val))
         if kind == "name":
-            if val not in self.alg.atoms:
-                raise PolyParseError(self.alg.missing(val), at)
-            return self.alg.atoms[val]
+            if val not in self.atoms:
+                raise PolyParseError(self.missing[val], at)
+            return self.atoms[val]
         if kind == "(":
             value = self.expr()
             kind2, _, at2 = self.take()
@@ -171,72 +160,36 @@ class _Parser:
         )
 
 
-def _missing_name(base_kind, e):
-    def missing(name):
-        if name == "t":
-            return "the variable 't' is only available over function field bases"
-        if name == "u":
-            if base_kind == "Q":
-                return "the generator 'u' is only available over function field bases"
-            return "the generator 'u' requires a proper coefficient extension (e > 1)"
-        return f"the variable {name!r} is not available here"
-
-    return missing
+_NO_U = "the generator 'u' requires a proper coefficient extension (e > 1)"
 
 
-def _poly_algebra(base):
-    ring = base.ring
-    atoms = {"x": rings.poly_x(ring)}
-    e = getattr(base, "e", 1)
-    if base.kind == "Fq":
-        field = ring.field
-        atoms["t"] = ((field.zero, field.one),)
-        if e > 1:
-            atoms["u"] = ((field.element(field.base.p),),)
-    return _Algebra(
-        add=lambda a, b: rings.poly_add(a, b, ring),
-        sub=lambda a, b: rings.poly_sub(a, b, ring),
-        neg=lambda a: rings.poly_neg(a, ring),
-        mul=lambda a, b: rings.poly_mul(a, b, ring),
-        pow=lambda a, n: rings.poly_pow(a, n, ring),
-        from_int=lambda n: rings.poly_const(ring.from_int(n), ring),
-        atoms=atoms,
-        missing=_missing_name(base.kind, e),
-    )
-
-
-def _place_algebra(field, e):
-    atoms = {"t": (field.zero, field.one)}
+def _t_atoms(field, e):
+    """t, and u when e > 1, as polynomials in t over the coefficient field."""
+    atoms = {"t": ffpoly.x_poly(field)}
     if e > 1:
         atoms["u"] = (field.element(field.base.p),)
-
-    def missing(name):
-        if name == "x":
-            return "the variable 'x' cannot appear in the place polynomial pi(t)"
-        if name == "u":
-            return "the generator 'u' requires a proper coefficient extension (e > 1)"
-        return f"the variable {name!r} is not available here"
-
-    return _Algebra(
-        add=lambda a, b: ffpoly.add(field, a, b),
-        sub=lambda a, b: ffpoly.sub(field, a, b),
-        neg=lambda a: ffpoly.neg(field, a),
-        mul=lambda a, b: ffpoly.mul(field, a, b),
-        pow=lambda a, n: ffpoly.pow_(field, a, n),
-        from_int=lambda n: ffpoly.constant(field, field.from_int(n)),
-        atoms=atoms,
-        missing=missing,
-    )
+    return atoms
 
 
 def parse_poly(text, base):
     """Parse a polynomial in x over the base's ring of integers."""
-    return _Parser(_tokenize(text), _poly_algebra(base)).parse()
+    ring = base.ring
+    atoms = {"x": ffpoly.x_poly(ring)}
+    if base.kind == "Q":
+        missing = {
+            "t": "the variable 't' is only available over function field bases",
+            "u": "the generator 'u' is only available over function field bases",
+        }
+    else:
+        atoms.update((name, (c,)) for name, c in _t_atoms(ring.field, base.e).items())
+        missing = {"u": _NO_U}
+    return _Parser(_tokenize(text), ring, atoms, missing).parse()
 
 
 def parse_place(text, field, e):
     """Parse the place polynomial pi(t) over the coefficient field."""
-    return _Parser(_tokenize(text), _place_algebra(field, e)).parse()
+    missing = {"x": "the variable 'x' cannot appear in the place polynomial pi(t)", "u": _NO_U}
+    return _Parser(_tokenize(text), field, _t_atoms(field, e), missing).parse()
 
 
 def make_base(args):
@@ -420,27 +373,37 @@ REPORT_SCHEMA = {
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# reports: one payload per command, rendered as JSON or as text lines
 
 
-def _dumps(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _emit(args, payload, lines):
+    """Print the report: the payload as one JSON line with --json, else the lines."""
+    if args.json:
+        payload.update(command=args.command, seed=args.seed, version=__version__)
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    else:
+        print("\n".join(lines))
 
 
-def _nu_json(v):
+def _nu(v):
     return "inf" if v == rings.INF else int(v)
 
 
-def _nu_text(v):
-    return "inf" if v == rings.INF else str(int(v))
+def _read_poly(args):
+    """Base, polynomial and the report's common fields for a --poly command."""
+    base = make_base(args)
+    f = parse_poly(args.poly, base)
+    return base, f, {"base": base.describe(), "poly": poly_to_text(f, base)}
 
 
-def _factors_text(rf, base):
-    pieces = []
-    for (_, l), lift in zip(rf.factors, rf.lifts):
-        text = f"({poly_to_text(lift, base)})"
-        pieces.append(f"{text}^{l}" if l > 1 else text)
-    return " * ".join(pieces)
+def _header(payload):
+    return [f"base: {payload['base']}", f"poly: {payload['poly']}"]
+
+
+def _verdict(args, base, f):
+    return dedekind_verdict(
+        f, base, seed=args.seed, assume_irreducible=args.assume_irreducible
+    )
 
 
 def _verdict_payload(verdict, base):
@@ -453,35 +416,11 @@ def _verdict_payload(verdict, base):
                 "phi": poly_to_text(w.phi, base),
                 "l": w.multiplicity,
                 "r": poly_to_text(w.remainder, base),
-                "nu_r": _nu_json(w.valuation),
+                "nu_r": _nu(w.valuation),
             }
             for w in verdict.witnesses
         ],
     }
-
-
-def _verdict_lines(verdict, base):
-    lines = [f"residue factors: {_factors_text(verdict.factorization, base)}"]
-    if verdict.witnesses:
-        for w in verdict.witnesses:
-            lines.append(
-                f"witness [{w.index}]: phi = {poly_to_text(w.phi, base)}, "
-                f"l = {w.multiplicity}, r = {poly_to_text(w.remainder, base)}, "
-                f"nu(r) = {_nu_text(w.valuation)}"
-            )
-    else:
-        lines.append("witnesses: none (no repeated residue factor)")
-    lines.append("classical cross-check: agrees")
-    lines.append(
-        "verdict: R[alpha] is integrally closed"
-        if verdict.integrally_closed
-        else "verdict: R[alpha] is NOT integrally closed"
-    )
-    return lines
-
-
-def _header_lines(base, ptext):
-    return [f"base: {base.describe()}", f"poly: {ptext}"]
 
 
 # ---------------------------------------------------------------------------
@@ -489,188 +428,126 @@ def _header_lines(base, ptext):
 
 
 def run_check(args):
-    base = make_base(args)
-    f = parse_poly(args.poly, base)
-    verdict = dedekind_verdict(
-        f, base, seed=args.seed, assume_irreducible=args.assume_irreducible
+    base, f, payload = _read_poly(args)
+    verdict = _verdict(args, base, f)
+    verdict_json = payload["verdict"] = _verdict_payload(verdict, base)
+    rf = verdict.factorization
+    factors = " * ".join(
+        f"({poly_to_text(lift, base)})" + (f"^{l}" if l > 1 else "")
+        for (_, l), lift in zip(rf.factors, rf.lifts)
     )
-    ptext = poly_to_text(f, base)
-    if args.json:
-        print(
-            _dumps(
-                {
-                    "command": "check",
-                    "base": base.describe(),
-                    "poly": ptext,
-                    "seed": args.seed,
-                    "version": __version__,
-                    "verdict": _verdict_payload(verdict, base),
-                }
-            )
-        )
-    else:
-        print("\n".join(_header_lines(base, ptext) + _verdict_lines(verdict, base)))
-    return 0 if verdict.integrally_closed else 1
+    lines = _header(payload) + [f"residue factors: {factors}"]
+    lines += [
+        f"witness [{w['i']}]: phi = {w['phi']}, l = {w['l']}, r = {w['r']}, "
+        f"nu(r) = {w['nu_r']}"
+        for w in verdict_json["witnesses"]
+    ] or ["witnesses: none (no repeated residue factor)"]
+    lines.append("classical cross-check: agrees")
+    closed = verdict_json["integrally_closed"]
+    lines.append(f"verdict: R[alpha] is {'' if closed else 'NOT '}integrally closed")
+    _emit(args, payload, lines)
+    return 0 if closed else 1
 
 
 def run_split(args):
-    base = make_base(args)
-    f = parse_poly(args.poly, base)
-    verdict = dedekind_verdict(
-        f, base, seed=args.seed, assume_irreducible=args.assume_irreducible
-    )
+    base, f, payload = _read_poly(args)
+    verdict = _verdict(args, base, f)
     report = split_prime(f, base, _verdict=verdict)
-    ptext = poly_to_text(f, base)
-    if args.json:
-        print(
-            _dumps(
-                {
-                    "command": "split",
-                    "base": base.describe(),
-                    "poly": ptext,
-                    "seed": args.seed,
-                    "version": __version__,
-                    "verdict": _verdict_payload(verdict, base),
-                    "splitting": [
-                        {
-                            "gens": [
-                                rings.element_to_text(ideal.prime, base),
-                                poly_to_text(ideal.lift, base),
-                            ],
-                            "e": ideal.e,
-                            "f": ideal.f,
-                        }
-                        for ideal in report.ideals
-                    ],
-                    "defectless": report.defectless,
-                }
-            )
-        )
-    else:
-        lines = _header_lines(base, ptext)
-        for i, ideal in enumerate(report.ideals):
-            lines.append(
-                f"ideal [{i}]: gens = ({rings.element_to_text(ideal.prime, base)}, "
-                f"{poly_to_text(ideal.lift, base)}), e = {ideal.e}, f = {ideal.f}"
-            )
-        total = sum(ideal.e * ideal.f for ideal in report.ideals)
-        lines.append(f"defectless: sum e*f = {total} = deg f")
-        print("\n".join(lines))
+    payload["verdict"] = _verdict_payload(verdict, base)
+    payload["splitting"] = [
+        {
+            "gens": [rings.element_to_text(ideal.prime, base), poly_to_text(ideal.lift, base)],
+            "e": ideal.e,
+            "f": ideal.f,
+        }
+        for ideal in report.ideals
+    ]
+    payload["defectless"] = report.defectless
+    lines = _header(payload) + [
+        f"ideal [{i}]: gens = ({', '.join(d['gens'])}), e = {d['e']}, f = {d['f']}"
+        for i, d in enumerate(payload["splitting"])
+    ]
+    total = sum(d["e"] * d["f"] for d in payload["splitting"])
+    lines.append(f"defectless: sum e*f = {total} = deg f")
+    _emit(args, payload, lines)
     return 0
 
 
 def run_verify(args):
-    base = make_base(args)
-    f = parse_poly(args.poly, base)
-    verdict = dedekind_verdict(
-        f, base, seed=args.seed, assume_irreducible=args.assume_irreducible
-    )
+    base, f, payload = _read_poly(args)
+    verdict = _verdict(args, base, f)
     report = verify_valuation_identities(
         f, base, seed=args.seed, precision=args.precision, _verdict=verdict
     )
-    ptext = poly_to_text(f, base)
-    if args.json:
-        print(
-            _dumps(
-                {
-                    "command": "verify",
-                    "base": base.describe(),
-                    "poly": ptext,
-                    "seed": args.seed,
-                    "version": __version__,
-                    "precision": report.precision,
-                    "verify": [
-                        {
-                            "i": e.index,
-                            "l": e.multiplicity,
-                            "deg_phi": e.degree,
-                            "nu_res": e.resultant_valuation,
-                            "omega": str(e.omega),
-                            "lhs": str(e.lhs),
-                            "rhs": str(e.rhs),
-                            "pass": e.passed,
-                        }
-                        for e in report.entries
-                    ],
-                }
-            )
-        )
-    else:
-        lines = _header_lines(base, ptext)
-        lines.append(f"precision: {report.precision}")
-        if report.entries:
-            for e in report.entries:
-                lines.append(
-                    f"identity [{e.index}]: l = {e.multiplicity}, "
-                    f"deg phi = {e.degree}, nu(Res) = {e.resultant_valuation}, "
-                    f"omega = {e.omega}, l*omega = {e.lhs}: "
-                    f"{'pass' if e.passed else 'FAIL'}"
-                )
-        else:
-            lines.append("identities: none (no repeated residue factor)")
-        lines.append(
-            "verify: all identities hold" if report.passed else "verify: FAILURE"
-        )
-        print("\n".join(lines))
-    return 0 if report.passed else 3
+    payload["precision"] = report.precision
+    payload["verify"] = [
+        {
+            "i": e.index,
+            "l": e.multiplicity,
+            "deg_phi": e.degree,
+            "nu_res": e.resultant_valuation,
+            "omega": str(e.omega),
+            "lhs": str(e.lhs),
+            "rhs": str(e.rhs),
+            "pass": e.passed,
+        }
+        for e in report.entries
+    ]
+    lines = _header(payload) + [f"precision: {payload['precision']}"]
+    lines += [
+        f"identity [{e['i']}]: l = {e['l']}, deg phi = {e['deg_phi']}, "
+        f"nu(Res) = {e['nu_res']}, omega = {e['omega']}, l*omega = {e['lhs']}: "
+        + ("pass" if e["pass"] else "FAIL")
+        for e in payload["verify"]
+    ] or ["identities: none (no repeated residue factor)"]
+    passed = all(e["pass"] for e in payload["verify"])
+    lines.append("verify: all identities hold" if passed else "verify: FAILURE")
+    _emit(args, payload, lines)
+    return 0 if passed else 3
 
 
 def run_count(args):
-    base = make_base(args)
-    f = parse_poly(args.poly, base)
+    base, f, payload = _read_poly(args)
     result = count_extensions(
         f, base, seed=args.seed, assume_irreducible=args.assume_irreducible
     )
-    ptext = poly_to_text(f, base)
-    if args.json:
-        print(
-            _dumps(
-                {
-                    "command": "count-extensions",
-                    "base": base.describe(),
-                    "poly": ptext,
-                    "seed": args.seed,
-                    "version": __version__,
-                    "count": {
-                        "status": result.status,
-                        "t": result.t,
-                        "descent_depth": result.descent_depth,
-                        "certificate": [
-                            {
-                                "i": b.index,
-                                "phi": poly_to_text(b.phi, base),
-                                "l": b.multiplicity,
-                                "degree": b.degree,
-                                "rule": b.rule,
-                                "certified": b.certified,
-                                "nu_r": None
-                                if b.remainder_valuation is None
-                                else _nu_json(b.remainder_valuation),
-                            }
-                            for b in result.branches
-                        ],
-                    },
-                }
-            )
-        )
-    else:
-        lines = _header_lines(base, ptext)
-        lines.append(f"descent depth: {result.descent_depth}")
-        for b in result.branches:
-            detail = (
-                "certified"
-                if b.certified
-                else f"undecided (nu(r) = {_nu_text(b.remainder_valuation)})"
-            )
-            lines.append(
-                f"branch [{b.index}]: phi = {poly_to_text(b.phi, base)}, "
-                f"l = {b.multiplicity}, rule = {b.rule}, {detail}"
-            )
-        lines.append(
-            f"extensions: {result.t}" if result.status == "known" else "extensions: unknown"
-        )
-        print("\n".join(lines))
+    count = payload["count"] = {
+        "status": result.status,
+        "t": result.t,
+        "descent_depth": result.descent_depth,
+        "certificate": [
+            {
+                "i": b.index,
+                "phi": poly_to_text(b.phi, base),
+                "l": b.multiplicity,
+                "degree": b.degree,
+                "rule": b.rule,
+                "certified": b.certified,
+                "nu_r": None if b.remainder_valuation is None else _nu(b.remainder_valuation),
+            }
+            for b in result.branches
+        ],
+    }
+    lines = _header(payload) + [f"descent depth: {count['descent_depth']}"]
+    lines += [
+        f"branch [{b['i']}]: phi = {b['phi']}, l = {b['l']}, rule = {b['rule']}, "
+        + ("certified" if b["certified"] else f"undecided (nu(r) = {b['nu_r']})")
+        for b in count["certificate"]
+    ]
+    lines.append(f"extensions: {count['t'] if count['status'] == 'known' else 'unknown'}")
+    _emit(args, payload, lines)
     return 0
+
+
+_CORPUS_COUNTS = (
+    "instances",
+    "verdict_true",
+    "verdict_false",
+    "repeated",
+    "lift_checks",
+    "splits_checked",
+    "identities_checked",
+)
 
 
 def run_corpus(args):
@@ -686,55 +563,29 @@ def run_corpus(args):
         raise InputError("--max-deg must be at least 1")
     pairs = [(ValuedBase.rational(p), args.count) for p in primes]
     report = corpus_mod.run_corpus(pairs, max_deg=args.max_deg, seed=args.seed)
-    if args.json:
-        print(
-            _dumps(
-                {
-                    "command": "corpus",
-                    "seed": args.seed,
-                    "version": __version__,
-                    "max_deg": args.max_deg,
-                    "suites": list(report.suites),
-                    "corpus": {
-                        "instances": report.instances,
-                        "verdict_true": report.verdict_true,
-                        "verdict_false": report.verdict_false,
-                        "repeated": report.repeated,
-                        "lift_checks": report.lift_checks,
-                        "splits_checked": report.splits_checked,
-                        "identities_checked": report.identities_checked,
-                        "disagreements": 0,
-                        "bases": [
-                            {
-                                "base": r.label,
-                                "instances": r.instances,
-                                "verdict_true": r.verdict_true,
-                                "verdict_false": r.verdict_false,
-                                "repeated": r.repeated,
-                                "lift_checks": r.lift_checks,
-                                "splits_checked": r.splits_checked,
-                                "identities_checked": r.identities_checked,
-                            }
-                            for r in report.per_base
-                        ],
-                    },
-                }
-            )
-        )
-    else:
-        lines = [
-            f"corpus: seed = {report.seed}, max degree = {report.max_deg}, "
-            f"suites = {','.join(report.suites)}"
-        ]
-        for r in report.per_base:
-            lines.append(
-                f"base {r.label}: instances = {r.instances}, "
-                f"true = {r.verdict_true}, false = {r.verdict_false}, "
-                f"repeated = {r.repeated}, lift checks = {r.lift_checks}, "
-                f"splits = {r.splits_checked}, identities = {r.identities_checked}"
-            )
-        lines.append(f"total: {report.instances} instances, 0 disagreements")
-        print("\n".join(lines))
+    bases = [
+        {"base": r.label, **{name: getattr(r, name) for name in _CORPUS_COUNTS}}
+        for r in report.per_base
+    ]
+    totals = {name: getattr(report, name) for name in _CORPUS_COUNTS}
+    payload = {
+        "max_deg": args.max_deg,
+        "suites": list(report.suites),
+        "corpus": {**totals, "disagreements": 0, "bases": bases},
+    }
+    lines = [
+        f"corpus: seed = {args.seed}, max degree = {args.max_deg}, "
+        f"suites = {','.join(payload['suites'])}"
+    ]
+    lines += [
+        f"base {b['base']}: instances = {b['instances']}, "
+        f"true = {b['verdict_true']}, false = {b['verdict_false']}, "
+        f"repeated = {b['repeated']}, lift checks = {b['lift_checks']}, "
+        f"splits = {b['splits_checked']}, identities = {b['identities_checked']}"
+        for b in bases
+    ]
+    lines.append(f"total: {totals['instances']} instances, 0 disagreements")
+    _emit(args, payload, lines)
     return 0
 
 
@@ -845,12 +696,13 @@ def main(argv=None):
     except InternalInvariantError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 3
-    except (InputError, PrecisionExhaustedError) as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except EngineError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug outside the engine's own checks; exit 1 would read as a negative verdict
+        print(f"error[E_INTERNAL]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

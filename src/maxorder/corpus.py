@@ -111,21 +111,14 @@ def perturbed_lifts(rng, rf, base):
     ring = base.ring
     out = []
     for phi in rf.lifts:
-        m = rings.poly_deg(phi)
+        m = ffpoly.deg(phi)
         if base.kind == "Q":
             U = [rng.randint(-LIFT_PERTURBATION_BOUND, LIFT_PERTURBATION_BOUND) for _ in range(m)]
         else:
             U = [random_coefficient(rng, base, 1) for _ in range(m)]
-        shift = rings.poly_scale(rings.poly_trim(U, ring), base.prime_element, ring)
-        out.append(rings.poly_add(phi, shift, ring))
+        shift = ffpoly.scale(ring, ffpoly.trim(ring, U), base.prime_element)
+        out.append(ffpoly.add(ring, phi, shift))
     return tuple(out)
-
-
-def _reproduce(seed, label, index, f, base):
-    return (
-        f"reproduce with seed={seed} base='{label}' instance={index} "
-        f"poly='{rings.poly_to_text(f, base)}'"
-    )
 
 
 def run_corpus(pairs, max_deg=8, seed=0, lifts_per_instance=2, suites=SUITES):
@@ -140,52 +133,43 @@ def run_corpus(pairs, max_deg=8, seed=0, lifts_per_instance=2, suites=SUITES):
         vt = vf = rep = lc = sc = ic = 0
         for index in range(count):
             f = random_monic_poly(rng, base, max_deg)
-            where = _reproduce(seed, label, index, f, base)
             try:
                 verdict = dedekind_verdict(f, base, seed=index, assume_irreducible=True)
-            except InternalInvariantError as exc:
-                raise CorpusDisagreementError(f"{exc}; {where}") from exc
-            if verdict.integrally_closed:
-                vt += 1
-            else:
-                vf += 1
-            if verdict.repeated_indices:
-                rep += 1
-            if "lifts" in suites:
-                for _ in range(lifts_per_instance):
-                    rf2 = replace(
-                        verdict.factorization,
-                        lifts=perturbed_lifts(rng, verdict.factorization, base),
-                    )
-                    try:
-                        v2 = dedekind_verdict(f, base, seed=index, _rf=rf2)
-                    except InternalInvariantError as exc:
-                        raise CorpusDisagreementError(f"{exc}; {where}") from exc
-                    if v2.integrally_closed != verdict.integrally_closed:
-                        raise CorpusDisagreementError(
-                            f"verdict changed under a perturbed lift; {where}"
+                if verdict.integrally_closed:
+                    vt += 1
+                else:
+                    vf += 1
+                if verdict.repeated_indices:
+                    rep += 1
+                if "lifts" in suites:
+                    for _ in range(lifts_per_instance):
+                        rf2 = replace(
+                            verdict.factorization,
+                            lifts=perturbed_lifts(rng, verdict.factorization, base),
                         )
-                    lc += 1
-            if "splits" in suites and verdict.integrally_closed:
-                try:
+                        v2 = dedekind_verdict(f, base, seed=index, _rf=rf2)
+                        if v2.integrally_closed != verdict.integrally_closed:
+                            raise InternalInvariantError("verdict changed under a perturbed lift")
+                        lc += 1
+                if "splits" in suites and verdict.integrally_closed:
                     split_prime(f, base, _verdict=verdict)
-                except InternalInvariantError as exc:
-                    raise CorpusDisagreementError(f"{exc}; {where}") from exc
-                sc += 1
-            if (
-                "identities" in suites
-                and verdict.integrally_closed
-                and verdict.repeated_indices
-            ):
-                try:
+                    sc += 1
+                if (
+                    "identities" in suites
+                    and verdict.integrally_closed
+                    and verdict.repeated_indices
+                ):
                     report = verify_valuation_identities(f, base, _verdict=verdict)
-                except (InternalInvariantError, PrecisionExhaustedError) as exc:
-                    raise CorpusDisagreementError(f"{exc}; {where}") from exc
-                if not report.passed:
-                    raise CorpusDisagreementError(
-                        f"a valuation identity failed on lifted branches; {where}"
-                    )
-                ic += 1
+                    if not report.passed:
+                        raise InternalInvariantError(
+                            "a valuation identity failed on lifted branches"
+                        )
+                    ic += 1
+            except (InternalInvariantError, PrecisionExhaustedError) as exc:
+                raise CorpusDisagreementError(
+                    f"{exc}; reproduce with seed={seed} base='{label}' instance={index} "
+                    f"poly='{rings.poly_to_text(f, base)}'"
+                ) from exc
         reports.append(
             BaseReport(
                 label=label,

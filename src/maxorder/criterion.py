@@ -32,13 +32,8 @@ from .rings import (
     MINUS_INF,
     discriminant,
     gauss_valuation,
-    poly_deg,
     poly_divmod_monic,
-    poly_eval,
-    poly_mul,
-    poly_sub,
     poly_to_text,
-    poly_trim,
     reduce_mod,
 )
 
@@ -124,11 +119,11 @@ class ExtensionCount:
 
 def _validate(f, base):
     ring = base.ring
-    f = poly_trim(f, ring)
-    d = poly_deg(f)
+    f = ffpoly.trim(ring, f)
+    d = ffpoly.deg(f)
     if d is MINUS_INF or d < 1:
         raise DegreeError("a polynomial of degree >= 1 is required")
-    if not rings.is_monic_poly(f, ring):
+    if not ffpoly.is_monic(ring, f):
         raise NonMonicError("a monic polynomial is required")
     return f
 
@@ -191,7 +186,7 @@ def frobenius_descent(f, base):
     ring = base.ring
     cur = f
     depth = 0
-    while poly_deg(cur) >= p:
+    while ffpoly.deg(cur) >= p:
         if any(i % p and not ring.is_zero(c) for i, c in enumerate(cur)):
             break
         cur = cur[::p]
@@ -206,14 +201,14 @@ def _reducibility_witness(f, base):
     only means no cheap obstruction turned up.
     """
     ring = base.ring
-    if poly_deg(f) < 2:
+    if ffpoly.deg(f) < 2:
         return None
     if ring.is_zero(f[0]):
         return "the constant term is zero, so x divides the polynomial"
     if base.char and _is_pth_power(f, base):
         return f"the polynomial is a p-th power (p = {base.char})"
     desc = frobenius_descent(f, base)
-    if poly_deg(desc.inner) >= 2 and ring.is_zero(discriminant(desc.inner, ring)):
+    if ffpoly.deg(desc.inner) >= 2 and ring.is_zero(discriminant(desc.inner, ring)):
         if desc.depth:
             return (
                 "the inner polynomial of the inseparability descent has a "
@@ -225,7 +220,7 @@ def _reducibility_witness(f, base):
     else:
         candidates = _fq_root_candidates(f[0], base)
     for c in candidates:
-        if ring.is_zero(poly_eval(f, c, ring)):
+        if ring.is_zero(ffpoly.evaluate(ring, f, c)):
             return f"x = {rings.element_to_text(c, base)} is a root"
     return None
 
@@ -251,12 +246,12 @@ def classical_check(f, base, rf):
     field = base.residue_field
     gstar = (ring.one,)
     for phi in rf.lifts:
-        gstar = poly_mul(gstar, phi, ring)
+        gstar = ffpoly.mul(ring, gstar, phi)
     hbar = (field.one,)
     for phibar, l in rf.factors:
         hbar = ffpoly.mul(field, hbar, ffpoly.pow_(field, phibar, l - 1))
     hstar = rings.lift_residue_poly(hbar, base)
-    diff = poly_sub(poly_mul(gstar, hstar, ring), f, ring)
+    diff = ffpoly.sub(ring, ffpoly.mul(ring, gstar, hstar), f)
     if diff and gauss_valuation(diff, base) < 1:
         raise InternalInvariantError(
             "g* h* does not reduce to the residue factorization"
@@ -337,7 +332,7 @@ def split_prime(f, base, seed=0, *, assume_irreducible=False, lifts=None, _verdi
         for i, (phibar, l) in enumerate(rf.factors)
     )
     total = sum(ideal.e * ideal.f for ideal in ideals)
-    if total != poly_deg(f):
+    if total != ffpoly.deg(f):
         raise InternalInvariantError("sum of e*f does not match the degree")
     return SplittingReport(ideals=ideals, defectless=True)
 

@@ -1,11 +1,14 @@
-"""Dense univariate polynomial arithmetic over a finite field.
+"""Dense univariate polynomial arithmetic over a finite field or a ring.
 
-A polynomial is a trimmed tuple of field elements, constant term first.
+A polynomial is a trimmed tuple of coefficients, constant term first.
 The empty tuple is the zero polynomial; its degree is the MINUS_INF
 sentinel (a genuine minus infinity, never -1, so degree comparisons and
-sums behave). The coefficient field is passed explicitly as the first
-argument of every routine, which lets the same code serve F_p, F_q and
-the residue fields of function-field places.
+sums behave). The coefficient domain is passed explicitly as the first
+argument of every routine, which lets the same code serve F_p, F_q, the
+residue fields of function-field places, and the rings Z and F_q[t] of
+``rings``. A ring has no ``inv``, so ``divmod_`` over a ring needs a
+monic divisor; gcds, factorization and everything else that divides by
+a leading coefficient need a field.
 
 The factorization stack for monic inputs follows the classical
 Cantor-Zassenhaus layout: squarefree decomposition (characteristic
@@ -48,11 +51,6 @@ def lc(a):
 
 def is_monic(field, a):
     return bool(a) and a[-1] == field.one
-
-
-def from_int_coeffs(field, ints):
-    """Build a polynomial from integer coefficients, low degree first."""
-    return trim(field, [field.from_int(n) for n in ints])
 
 
 def add(field, a, b):
@@ -102,20 +100,21 @@ def pow_(field, a, n):
 
 
 def divmod_(field, a, b):
-    """Quotient and remainder of a by nonzero b."""
+    """Quotient and remainder of a by nonzero b, which is monic over a ring."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
     if len(a) <= db:
         return (), a
-    inv_lc = field.inv(b[-1])
+    inv_lc = None if b[-1] == field.one else field.inv(b[-1])
     r = list(a)
     q = [field.zero] * (len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
         c = r[i + db]
         if c == field.zero:
             continue
-        c = field.mul(c, inv_lc)
+        if inv_lc is not None:
+            c = field.mul(c, inv_lc)
         q[i] = c
         for j in range(db):
             r[i + j] = field.sub(r[i + j], field.mul(c, b[j]))

@@ -18,18 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ffpoly, rings
-from .criterion import dedekind_verdict
-from .errors import InputError, InternalInvariantError, PrecisionExhaustedError, VerdictFalseError
-from .rings import (
-    gauss_valuation,
-    poly_add,
-    poly_deg,
-    poly_divmod_monic,
-    poly_mul,
-    poly_sub,
-    poly_trim,
-    resultant,
+from .criterion import _validate, dedekind_verdict, frobenius_descent
+from .errors import (
+    InputError,
+    InternalInvariantError,
+    PrecisionExhaustedError,
+    ReduciblePolynomialError,
+    VerdictFalseError,
 )
+from .rings import poly_divmod_monic, resultant
 
 PRECISION_CAP = 1024
 
@@ -79,7 +76,7 @@ class VerificationReport:
 
 def _poly_mod(P, base, k):
     ring = base.ring
-    return poly_trim([ring.mod_prime_pow(c, k) for c in P], ring)
+    return ffpoly.trim(ring, [ring.mod_prime_pow(c, k) for c in P])
 
 
 def _lift_pair(fk, gbar, hbar, base, k):
@@ -104,24 +101,21 @@ def _lift_pair(fk, gbar, hbar, base, k):
     m = 1
     while m < k:
         m2 = min(2 * m, k)
-        e = _poly_mod(poly_sub(fk, poly_mul(g, h, ring), ring), base, m2)
-        _, r = poly_divmod_monic(_poly_mod(poly_mul(s, e, ring), base, m2), h, ring)
-        h2 = _poly_mod(poly_add(h, r, ring), base, m2)
+        e = _poly_mod(ffpoly.sub(ring, fk, ffpoly.mul(ring, g, h)), base, m2)
+        _, r = poly_divmod_monic(_poly_mod(ffpoly.mul(ring, s, e), base, m2), h, ring)
+        h2 = _poly_mod(ffpoly.add(ring, h, r), base, m2)
         g2, rem = poly_divmod_monic(fk, h2, ring)
         if _poly_mod(rem, base, m2):
             raise InternalInvariantError("corrected factor does not divide at precision")
         g2 = _poly_mod(g2, base, m2)
-        b = _poly_mod(
-            poly_sub(poly_add(poly_mul(s, g2, ring), poly_mul(t, h2, ring), ring), one, ring),
-            base,
-            m2,
-        )
-        c, dd = poly_divmod_monic(_poly_mod(poly_mul(s, b, ring), base, m2), h2, ring)
-        s2 = poly_sub(s, dd, ring)
-        t2 = poly_sub(poly_sub(t, poly_mul(t, b, ring), ring), poly_mul(c, g2, ring), ring)
+        sg_th = ffpoly.add(ring, ffpoly.mul(ring, s, g2), ffpoly.mul(ring, t, h2))
+        b = _poly_mod(ffpoly.sub(ring, sg_th, one), base, m2)
+        c, dd = poly_divmod_monic(_poly_mod(ffpoly.mul(ring, s, b), base, m2), h2, ring)
+        s2 = ffpoly.sub(ring, s, dd)
+        t2 = ffpoly.sub(ring, ffpoly.sub(ring, t, ffpoly.mul(ring, t, b)), ffpoly.mul(ring, c, g2))
         q2, s2 = poly_divmod_monic(s2, h2, ring)
         s2 = _poly_mod(s2, base, m2)
-        t2 = _poly_mod(poly_add(t2, poly_mul(q2, g2, ring), ring), base, m2)
+        t2 = _poly_mod(ffpoly.add(ring, t2, ffpoly.mul(ring, q2, g2)), base, m2)
         g, h, s, t = g2, h2, s2, t2
         m = m2
     return g, h
@@ -155,8 +149,8 @@ def hensel_lift(f, rf, base, k):
     ring = base.ring
     prod = (ring.one,)
     for F in factors:
-        prod = poly_mul(prod, F, ring)
-    if _poly_mod(poly_sub(prod, fk, ring), base, k):
+        prod = ffpoly.mul(ring, prod, F)
+    if _poly_mod(ffpoly.sub(ring, prod, fk), base, k):
         raise InternalInvariantError("lifted branches do not multiply back to f")
     return LiftedFactorization(precision=k, factors=tuple(factors), rf=rf, single=False)
 
@@ -219,9 +213,6 @@ def auto_precision(f, base):
     vanishes too the guess falls back to 2 and the caller's retry loop
     supplies the resolution.
     """
-    from .criterion import frobenius_descent, _validate
-    from .errors import ReduciblePolynomialError
-
     f = _validate(f, base)
     ring = base.ring
     d = rings.discriminant(f, ring)

@@ -45,20 +45,12 @@ def factor_residue(fbar, field, seed=0):
     return ffpoly.factor_monic(field, fbar, seed=seed)
 
 
-def monic_lift(phibar, base):
-    """Canonical monic lift of a monic residue factor."""
-    lifted = rings.lift_residue_poly(phibar, base)
-    # coefficientwise lift of a monic residue polynomial is monic for
-    # both bases: representatives of 1 are 1
-    return lifted
-
-
 def check_lift(phi, phibar, base):
     """Validate a caller-supplied lift: monic, right degree, right image."""
     ring = base.ring
-    if not rings.is_monic_poly(phi, ring):
+    if not ffpoly.is_monic(ring, phi):
         raise InputError("lift must be monic")
-    if rings.poly_deg(phi) != ffpoly.deg(phibar):
+    if ffpoly.deg(phi) != ffpoly.deg(phibar):
         raise InputError("lift must have the same degree as the residue factor")
     if rings.reduce_mod(phi, base) != phibar:
         raise InputError("lift does not reduce to the residue factor")
@@ -73,11 +65,12 @@ def residue_factorization(f, base, seed=0, lifts=None):
     """
     field = base.residue_field
     fbar = rings.reduce_mod(f, base)
-    if ffpoly.deg(fbar) != rings.poly_deg(f):
+    if ffpoly.deg(fbar) != ffpoly.deg(f):
         raise InputError("polynomial must be monic over the ring of integers")
     factors = factor_residue(fbar, field, seed=seed)
     if lifts is None:
-        chosen = tuple(monic_lift(phibar, base) for phibar, _ in factors)
+        # representatives of 1 are 1, so the canonical lifts are monic
+        chosen = tuple(rings.lift_residue_poly(phibar, base) for phibar, _ in factors)
     else:
         if len(lifts) != len(factors):
             raise InputError("one lift per residue factor is required")
@@ -87,15 +80,3 @@ def residue_factorization(f, base, seed=0, lifts=None):
         )
     return ResidueFactorization(field=field, factors=tuple(factors), lifts=chosen)
 
-
-def adic_valuation(gbar, phibar, field):
-    """Multiplicity of the irreducible phibar in gbar (inf at zero)."""
-    if not gbar:
-        return rings.INF
-    v = 0
-    while True:
-        q, r = ffpoly.divmod_(field, gbar, phibar)
-        if r:
-            return v
-        gbar = q
-        v += 1

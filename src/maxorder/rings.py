@@ -1,4 +1,4 @@
-"""Valued bases and polynomial arithmetic over their rings of integers.
+"""Valued bases, their rings of integers, resultants and canonical text.
 
 A base is either the rationals with a p-adic valuation, or a rational
 function field F_q(t) with the place of a monic irreducible pi(t). The
@@ -10,8 +10,9 @@ is exact.
 Ring elements are Python ints for Z and trimmed tuples of F_q elements
 for F_q[t]. A polynomial in x over a ring is a trimmed tuple of ring
 elements, constant term first; the zero polynomial is the empty tuple
-and its degree is the MINUS_INF sentinel. Valuations of zero are the
-INF sentinel.
+and its degree is the MINUS_INF sentinel. Their arithmetic is ``ffpoly``'s,
+with the ring passed as the coefficient domain. Valuations of zero are
+the INF sentinel.
 """
 
 import math
@@ -229,119 +230,12 @@ class ValuedBase:
 # polynomials in x over a base ring
 
 
-def poly_trim(coeffs, ring):
-    n = len(coeffs)
-    while n and ring.is_zero(coeffs[n - 1]):
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def poly_deg(P):
-    return len(P) - 1 if P else MINUS_INF
-
-
-def poly_const(c, ring):
-    return () if ring.is_zero(c) else (c,)
-
-
-def poly_x(ring):
-    return (ring.zero, ring.one)
-
-
-def is_monic_poly(P, ring):
-    return bool(P) and P[-1] == ring.one
-
-
-def poly_add(P, Q, ring):
-    if len(P) < len(Q):
-        P, Q = Q, P
-    out = list(P)
-    for i, c in enumerate(Q):
-        out[i] = ring.add(out[i], c)
-    return poly_trim(out, ring)
-
-
-def poly_neg(P, ring):
-    return tuple(ring.neg(c) for c in P)
-
-
-def poly_sub(P, Q, ring):
-    return poly_add(P, poly_neg(Q, ring), ring)
-
-
-def poly_scale(P, c, ring):
-    if ring.is_zero(c):
-        return ()
-    return poly_trim([ring.mul(x, c) for x in P], ring)
-
-
-def poly_mul(P, Q, ring):
-    if not P or not Q:
-        return ()
-    out = [ring.zero] * (len(P) + len(Q) - 1)
-    for i, a in enumerate(P):
-        if ring.is_zero(a):
-            continue
-        for j, b in enumerate(Q):
-            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return poly_trim(out, ring)
-
-
-def poly_pow(P, n, ring):
-    out = (ring.one,)
-    while n:
-        if n & 1:
-            out = poly_mul(out, P, ring)
-        n >>= 1
-        if n:
-            P = poly_mul(P, P, ring)
-    return out
-
-
-def poly_eval(P, a, ring):
-    acc = ring.zero
-    for c in reversed(P):
-        acc = ring.add(ring.mul(acc, a), c)
-    return acc
-
-
-def poly_derivative(P, ring):
-    return poly_trim([ring.mul(ring.from_int(i), P[i]) for i in range(1, len(P))], ring)
-
-
-def compose_x_power(P, m, ring):
-    """P(x^m), densely."""
-    if m == 1 or not P:
-        return P
-    out = [ring.zero] * ((len(P) - 1) * m + 1)
-    for i, c in enumerate(P):
-        out[i * m] = c
-    return poly_trim(out, ring)
-
-
 def poly_divmod_monic(f, phi, ring):
     """Euclidean division by a monic divisor; exact over the ring."""
-    dphi = poly_deg(phi)
-    if dphi is MINUS_INF or dphi < 1 or not is_monic_poly(phi, ring):
+    d = ffpoly.deg(phi)
+    if d is MINUS_INF or d < 1 or not ffpoly.is_monic(ring, phi):
         raise InputError("divisor must be monic of degree >= 1")
-    if len(f) <= dphi:
-        return (), f
-    r = list(f)
-    q = [ring.zero] * (len(f) - dphi)
-    for i in range(len(f) - dphi - 1, -1, -1):
-        c = r[i + dphi]
-        if ring.is_zero(c):
-            continue
-        q[i] = c
-        for j in range(dphi):
-            r[i + j] = ring.sub(r[i + j], ring.mul(c, phi[j]))
-        r[i + dphi] = ring.zero
-    return poly_trim(q, ring), poly_trim(r[:dphi], ring)
-
-
-def element_valuation(a, base):
-    """Exponent of the prime element in a; INF at zero."""
-    return base.ring.valuation(a)
+    return ffpoly.divmod_(ring, f, phi)
 
 
 def gauss_valuation(P, base):
@@ -356,17 +250,6 @@ def gauss_valuation(P, base):
     return v
 
 
-def normalize_primitive(P, base):
-    """Split off the full prime power: returns (P0, a) with P = a * P0."""
-    if not P:
-        raise InputError("the zero polynomial has no primitive part")
-    v = gauss_valuation(P, base)
-    a = base.ring.prime_pow(v)
-    if v == 0:
-        return P, a
-    return tuple(base.ring.exact_div(c, a) for c in P), a
-
-
 def reduce_mod(P, base):
     """Coefficient-wise image of P in the residue field."""
     return ffpoly.trim(base.residue_field, [base.ring.reduce(c) for c in P])
@@ -374,7 +257,7 @@ def reduce_mod(P, base):
 
 def lift_residue_poly(Pbar, base):
     """Canonical coefficient-wise lift of a residue polynomial."""
-    return poly_trim([base.ring.lift(c) for c in Pbar], base.ring)
+    return ffpoly.trim(base.ring, [base.ring.lift(c) for c in Pbar])
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +274,8 @@ def _prem(A, B, ring):
         dR = len(R) - 1
         lead = R[-1]
         shifted = (ring.zero,) * (dR - dB) + B
-        R = poly_trim(
-            [ring.sub(ring.mul(lB, R[i]), ring.mul(lead, shifted[i])) for i in range(dR + 1)],
-            ring,
+        R = ffpoly.trim(
+            ring, [ring.sub(ring.mul(lB, R[i]), ring.mul(lead, shifted[i])) for i in range(dR + 1)]
         )
         e -= 1
     if e > 0:
@@ -414,16 +296,16 @@ def resultant(f, g, ring):
         raise InputError("resultant of a zero polynomial")
     A, B = f, g
     s = 1
-    if poly_deg(A) < poly_deg(B):
+    if ffpoly.deg(A) < ffpoly.deg(B):
         A, B = B, A
-        if (poly_deg(A) * poly_deg(B)) % 2 == 1:
+        if (ffpoly.deg(A) * ffpoly.deg(B)) % 2 == 1:
             s = -s
-    if poly_deg(A) == 0:
+    if ffpoly.deg(A) == 0:
         return ring.one
     gpart = ring.one
     h = ring.one
-    while poly_deg(B) > 0:
-        dA, dB = poly_deg(A), poly_deg(B)
+    while ffpoly.deg(B) > 0:
+        dA, dB = ffpoly.deg(A), ffpoly.deg(B)
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
@@ -438,7 +320,7 @@ def resultant(f, g, ring):
             h = gpart
         elif delta > 1:
             h = ring.exact_div(ring.elem_pow(gpart, delta), ring.elem_pow(h, delta - 1))
-    dA = poly_deg(A)
+    dA = ffpoly.deg(A)
     res = ring.exact_div(ring.elem_pow(B[0], dA), ring.elem_pow(h, dA - 1))
     return ring.neg(res) if s < 0 else res
 
@@ -449,10 +331,10 @@ def discriminant(f, ring):
     In positive characteristic the derivative can vanish identically;
     the discriminant is zero then.
     """
-    n = poly_deg(f)
-    if n is MINUS_INF or n < 1 or not is_monic_poly(f, ring):
+    n = ffpoly.deg(f)
+    if n is MINUS_INF or n < 1 or not ffpoly.is_monic(ring, f):
         raise InputError("monic polynomial of degree >= 1 expected")
-    fp = poly_derivative(f, ring)
+    fp = ffpoly.derivative(ring, f)
     if not fp:
         return ring.zero
     r = resultant(f, fp, ring)

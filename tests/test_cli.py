@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from maxorder import cli
 from maxorder.cli import REPORT_SCHEMA, main, parse_poly
 from maxorder.errors import PolyParseError
 from maxorder.rings import ValuedBase
@@ -289,6 +290,16 @@ def test_exit_codes_and_stderr(capsys):
     )
     assert code == 2
     assert err.startswith("error[E_PRECISION]:")
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "dedekind_verdict", broken)
+    code, out, err = run(capsys, "check", "--prime", "2", "--poly", "x^2 - 5")
+    assert (code, out) == (3, "")
+    assert err == "error[E_INTERNAL]: RuntimeError: boom\n"
 
 
 def test_assume_irreducible_flag(capsys):

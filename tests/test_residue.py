@@ -4,14 +4,8 @@ import pytest
 
 from maxorder import ffpoly
 from maxorder.errors import InputError
-from maxorder.residue import (
-    adic_valuation,
-    check_lift,
-    factor_residue,
-    monic_lift,
-    residue_factorization,
-)
-from maxorder.rings import ValuedBase, poly_mul, reduce_mod
+from maxorder.residue import check_lift, factor_residue, residue_factorization
+from maxorder.rings import ValuedBase, lift_residue_poly, reduce_mod
 
 B2 = ValuedBase.rational(2)
 B5 = ValuedBase.rational(5)
@@ -99,20 +93,9 @@ def test_custom_lifts_accepted():
 
 
 def test_monic_lift_frozen():
-    assert monic_lift((4, 1), B11) == (4, 1)
+    assert lift_residue_poly((4, 1), B11) == (4, 1)
     # x + t reduces to x at pi = t; the canonical lift is x itself
-    assert monic_lift(reduce_mod(((0, 1), (1,)), BT2), BT2) == ((), (1,))
-
-
-def test_adic_valuation():
-    k = BT2.residue_field
-    xbar = (k.zero, k.one)
-    # x^3 + x^2 = x^2 (x + 1) over F_2
-    g = (k.zero, k.zero, k.one, k.one)
-    assert adic_valuation(g, xbar, k) == 2
-    assert adic_valuation(g, (k.one, k.one), k) == 1
-    assert adic_valuation(g, (k.one, k.one, k.one), k) == 0
-    assert adic_valuation((), xbar, k) == float("inf")
+    assert lift_residue_poly(reduce_mod(((0, 1), (1,)), BT2), BT2) == ((), (1,))
 
 
 def test_seed_independence():
