@@ -13,21 +13,10 @@ remainder test against the classical gcd formulation.
 
 __version__ = "0.1.0"
 
-from .corpus import CorpusReport, run_corpus
-from .criterion import (
-    BranchCertificate,
-    CriterionVerdict,
-    ExtensionCount,
-    IdealFactor,
-    InseparabilityDescent,
-    SplittingReport,
-    Witness,
-    count_extensions,
-    dedekind_verdict,
-    frobenius_descent,
-    split_prime,
-)
+from .corpus import run_corpus
+from .criterion import count_extensions, dedekind_verdict, split_prime
 from .errors import (
+    CorpusDisagreementError,
     DegreeError,
     EngineError,
     InputError,
@@ -37,18 +26,8 @@ from .errors import (
     PrecisionExhaustedError,
     ReduciblePolynomialError,
     VerdictFalseError,
-    CorpusDisagreementError,
 )
-from .hensel import (
-    LiftedFactorization,
-    VerificationReport,
-    auto_precision,
-    cross_resultant_check,
-    hensel_lift,
-    lift_root_valuation,
-    verify_valuation_identities,
-)
-from .residue import ResidueFactorization, residue_factorization
+from .hensel import verify_valuation_identities
 from .rings import ValuedBase
 
 __all__ = [
@@ -57,25 +36,8 @@ __all__ = [
     "dedekind_verdict",
     "split_prime",
     "count_extensions",
-    "frobenius_descent",
     "verify_valuation_identities",
-    "hensel_lift",
-    "lift_root_valuation",
-    "cross_resultant_check",
-    "auto_precision",
-    "residue_factorization",
     "run_corpus",
-    "CriterionVerdict",
-    "Witness",
-    "SplittingReport",
-    "IdealFactor",
-    "ExtensionCount",
-    "BranchCertificate",
-    "InseparabilityDescent",
-    "ResidueFactorization",
-    "LiftedFactorization",
-    "VerificationReport",
-    "CorpusReport",
     "EngineError",
     "InputError",
     "PolyParseError",

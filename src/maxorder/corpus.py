@@ -20,7 +20,7 @@ The whole run is a pure function of the seed and the suite selection.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import ffpoly, rings
 from .criterion import dedekind_verdict, split_prime
@@ -37,8 +37,7 @@ COEFFICIENT_T_DEGREE = 3
 
 
 @dataclass(frozen=True)
-class BaseReport:
-    label: str
+class Counts:
     instances: int
     verdict_true: int
     verdict_false: int
@@ -49,44 +48,16 @@ class BaseReport:
 
 
 @dataclass(frozen=True)
-class CorpusReport:
+class BaseReport(Counts):
+    label: str
+
+
+@dataclass(frozen=True)
+class CorpusReport(Counts):
     seed: int
     max_deg: int
     suites: tuple
     per_base: tuple
-
-    def _total(self, name):
-        return sum(getattr(r, name) for r in self.per_base)
-
-    @property
-    def instances(self):
-        return self._total("instances")
-
-    @property
-    def verdict_true(self):
-        return self._total("verdict_true")
-
-    @property
-    def verdict_false(self):
-        return self._total("verdict_false")
-
-    @property
-    def repeated(self):
-        return self._total("repeated")
-
-    @property
-    def lift_checks(self):
-        return self._total("lift_checks")
-
-    @property
-    def splits_checked(self):
-        return self._total("splits_checked")
-
-    @property
-    def identities_checked(self):
-        return self._total("identities_checked")
-
-    disagreements = 0
 
 
 def random_coefficient(rng, base, t_degree=COEFFICIENT_T_DEGREE):
@@ -182,6 +153,9 @@ def run_corpus(pairs, max_deg=8, seed=0, lifts_per_instance=2, suites=SUITES):
                 identities_checked=ic,
             )
         )
+    totals = {
+        field.name: sum(getattr(r, field.name) for r in reports) for field in fields(Counts)
+    }
     return CorpusReport(
-        seed=seed, max_deg=max_deg, suites=tuple(suites), per_base=tuple(reports)
+        seed=seed, max_deg=max_deg, suites=tuple(suites), per_base=tuple(reports), **totals
     )

@@ -65,7 +65,6 @@ class CriterionVerdict:
     integrally_closed: bool
     witnesses: tuple
     factorization: ResidueFactorization
-    classical_agrees: bool
 
     @property
     def repeated_indices(self):
@@ -74,9 +73,8 @@ class CriterionVerdict:
 
 @dataclass(frozen=True)
 class IdealFactor:
-    """One maximal ideal above the place: generated by (prime, phi(alpha))."""
+    """One maximal ideal above the place: (base.prime_element, lift(alpha))."""
 
-    prime: object
     lift: tuple
     e: int
     f: int
@@ -85,7 +83,6 @@ class IdealFactor:
 @dataclass(frozen=True)
 class SplittingReport:
     ideals: tuple
-    defectless: bool
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,6 @@ def dedekind_verdict(f, base, seed=0, *, assume_irreducible=False, lifts=None, _
         integrally_closed=ok,
         witnesses=tuple(witnesses),
         factorization=rf,
-        classical_agrees=True,
     )
 
 
@@ -323,18 +319,13 @@ def split_prime(f, base, seed=0, *, assume_irreducible=False, lifts=None, _verdi
         )
     rf = verdict.factorization
     ideals = tuple(
-        IdealFactor(
-            prime=base.prime_element,
-            lift=rf.lifts[i],
-            e=l,
-            f=ffpoly.deg(phibar),
-        )
+        IdealFactor(lift=rf.lifts[i], e=l, f=ffpoly.deg(phibar))
         for i, (phibar, l) in enumerate(rf.factors)
     )
     total = sum(ideal.e * ideal.f for ideal in ideals)
     if total != ffpoly.deg(f):
         raise InternalInvariantError("sum of e*f does not match the degree")
-    return SplittingReport(ideals=ideals, defectless=True)
+    return SplittingReport(ideals=ideals)
 
 
 # ---------------------------------------------------------------------------
@@ -346,31 +337,22 @@ def _branches_from(verdict):
     out = []
     for i, (phibar, l) in enumerate(verdict.factorization.factors):
         if l == 1:
-            out.append(
-                BranchCertificate(
-                    index=i,
-                    phi=verdict.factorization.lifts[i],
-                    multiplicity=1,
-                    degree=ffpoly.deg(phibar),
-                    rule="multiplicity-one",
-                    certified=True,
-                    remainder_valuation=None,
-                )
-            )
+            rule, certified, v = "multiplicity-one", True, None
         else:
             v = wmap[i].valuation
             certified = v == 1
-            out.append(
-                BranchCertificate(
-                    index=i,
-                    phi=verdict.factorization.lifts[i],
-                    multiplicity=l,
-                    degree=ffpoly.deg(phibar),
-                    rule="remainder-valuation-one" if certified else "none",
-                    certified=certified,
-                    remainder_valuation=v,
-                )
+            rule = "remainder-valuation-one" if certified else "none"
+        out.append(
+            BranchCertificate(
+                index=i,
+                phi=verdict.factorization.lifts[i],
+                multiplicity=l,
+                degree=ffpoly.deg(phibar),
+                rule=rule,
+                certified=certified,
+                remainder_valuation=v,
             )
+        )
     return tuple(out)
 
 
@@ -385,9 +367,7 @@ def count_extensions(f, base, seed=0, *, assume_irreducible=False):
     total stays unknown.
     """
     f = _validate(f, base)
-    if not assume_irreducible:
-        require_no_reducibility_witness(f, base)
-    verdict = dedekind_verdict(f, base, seed, assume_irreducible=True)
+    verdict = dedekind_verdict(f, base, seed, assume_irreducible=assume_irreducible)
     chosen, depth = verdict, 0
     if not verdict.integrally_closed:
         desc = frobenius_descent(f, base)

@@ -10,14 +10,23 @@ inv, pow, pth_root, index, element, from_int), so the polynomial code in
 ffpoly never needs to know which concrete field it is working over.
 """
 
+import math
+
 from . import ffpoly
 from .errors import InputError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least odd composite that is a strong probable prime to all of _MR_BASES
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Miller-Rabin on the first 12 primes, exact below _MR_EXACT_BELOW.
+
+    From that bound on, a strong Lucas test is required as well; with
+    base 2 among the Miller-Rabin bases this is the Baillie-PSW test,
+    which has no known counterexample.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -37,7 +46,60 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test for odd n > 3, Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4. With n + 1 = d * 2^s, d odd, n passes when U_d = 0
+    or V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return abs(D) == n
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q  # U_1, V_1 and Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class PrimeField:
@@ -142,14 +204,7 @@ class QuotientField:
         return self.wrap(s)
 
     def pow(self, a, n):
-        out = self.one
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return out
+        return self.wrap(ffpoly.pow_mod(self.base, self.unwrap(a), n, self.modulus))
 
     def pth_root(self, a):
         return self.pow(a, self.q // self.p)

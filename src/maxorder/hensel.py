@@ -35,24 +35,13 @@ PRECISION_CAP = 1024
 class LiftedFactorization:
     """Branches F_i with f = prod F_i modulo prime^precision.
 
-    ``single`` marks the one-branch case, where the branch is f itself
-    reduced at the working precision and no lifting happens.
+    With one branch, the branch is f itself reduced at the working
+    precision and no lifting happens.
     """
 
     precision: int
     factors: tuple
     rf: object
-    single: bool
-
-
-@dataclass(frozen=True)
-class ValuationEstimate:
-    """nu(phi_i(alpha_i)) as read from Res(F_i, phi_i) at finite precision."""
-
-    index: int
-    resultant_valuation: object
-    value: object
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,6 @@ class IdentityEntry:
     resultant_valuation: int
     omega: Fraction
     lhs: Fraction
-    rhs: int
     passed: bool
 
 
@@ -144,7 +132,7 @@ def hensel_lift(f, rf, base, k):
     fk = _poly_mod(f, base, k)
     bars = [ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors]
     if len(bars) == 1:
-        return LiftedFactorization(precision=k, factors=(fk,), rf=rf, single=True)
+        return LiftedFactorization(precision=k, factors=(fk,), rf=rf)
     factors = _lift_tree(fk, bars, base, k)
     ring = base.ring
     prod = (ring.one,)
@@ -152,7 +140,7 @@ def hensel_lift(f, rf, base, k):
         prod = ffpoly.mul(ring, prod, F)
     if _poly_mod(ffpoly.sub(ring, prod, fk), base, k):
         raise InternalInvariantError("lifted branches do not multiply back to f")
-    return LiftedFactorization(precision=k, factors=tuple(factors), rf=rf, single=False)
+    return LiftedFactorization(precision=k, factors=tuple(factors), rf=rf)
 
 
 def cross_resultant_check(lifted, base):
@@ -175,31 +163,23 @@ def cross_resultant_check(lifted, base):
 
 
 def lift_root_valuation(lifted, index, base):
-    """Common valuation of phi_index at the roots of branch F_index.
+    """nu(Res(F_i, phi_i)) for a repeated residue factor, or None.
 
-    Defined for repeated residue factors. Reads nu(Res(F_i, phi_i)) from
-    the representative; the estimate is exact when it lands strictly
-    below the precision, since the true resultant differs from the
-    representative's by a multiple of prime^precision.
+    The value read off the representative is exact when it lands
+    strictly below the precision, since the true resultant differs from
+    the representative's by a multiple of prime^precision; otherwise
+    None asks for more precision. The common valuation of phi_i at the
+    roots of F_i is this value over l_i * deg phi_i.
     """
-    phibar, l = lifted.rf.factors[index]
+    _, l = lifted.rf.factors[index]
     if l < 2:
         raise InputError("root valuation is read off repeated residue factors")
     ring = base.ring
-    phi = lifted.rf.lifts[index]
-    R = resultant(lifted.factors[index], phi, ring)
+    R = resultant(lifted.factors[index], lifted.rf.lifts[index], ring)
     if ring.is_zero(R):
-        return ValuationEstimate(index=index, resultant_valuation=None, value=None, exact=False)
+        return None
     v = ring.valuation(R)
-    if v >= lifted.precision:
-        return ValuationEstimate(index=index, resultant_valuation=None, value=None, exact=False)
-    m = ffpoly.deg(phibar)
-    return ValuationEstimate(
-        index=index,
-        resultant_valuation=v,
-        value=Fraction(v, l * m),
-        exact=True,
-    )
+    return v if v < lifted.precision else None
 
 
 def auto_precision(f, base):
@@ -259,31 +239,26 @@ def verify_valuation_identities(
         raise InputError("precision must be at least 2")
     while True:
         lifted = hensel_lift(f, rf, base, k)
-        if not lifted.single:
-            cross_resultant_check(lifted, base)
+        cross_resultant_check(lifted, base)
         entries = []
-        exact = True
         for i in repeated:
-            est = lift_root_valuation(lifted, i, base)
-            if not est.exact:
-                exact = False
+            v = lift_root_valuation(lifted, i, base)
+            if v is None:
                 break
             phibar, l = rf.factors[i]
             m = ffpoly.deg(phibar)
-            v = est.resultant_valuation
             entries.append(
                 IdentityEntry(
                     index=i,
                     multiplicity=l,
                     degree=m,
                     resultant_valuation=v,
-                    omega=est.value,
-                    lhs=l * est.value,
-                    rhs=1,
+                    omega=Fraction(v, l * m),
+                    lhs=Fraction(v, m),
                     passed=v == m,
                 )
             )
-        if exact:
+        else:
             return VerificationReport(
                 entries=tuple(entries),
                 precision=k,

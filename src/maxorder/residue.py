@@ -24,16 +24,12 @@ class ResidueFactorization:
              congruent to the corresponding phi_bar.
     """
 
-    field: object
     factors: tuple
     lifts: tuple
 
     @property
     def repeated_indices(self):
         return tuple(i for i, (_, l) in enumerate(self.factors) if l >= 2)
-
-    def multiplicity_one(self):
-        return not self.repeated_indices
 
 
 def factor_residue(fbar, field, seed=0):
@@ -63,11 +59,10 @@ def residue_factorization(f, base, seed=0, lifts=None):
     ``lifts`` optionally overrides the canonical lifts; it must supply
     one monic lift per factor, in the canonical factor order.
     """
-    field = base.residue_field
     fbar = rings.reduce_mod(f, base)
     if ffpoly.deg(fbar) != ffpoly.deg(f):
         raise InputError("polynomial must be monic over the ring of integers")
-    factors = factor_residue(fbar, field, seed=seed)
+    factors = factor_residue(fbar, base.residue_field, seed=seed)
     if lifts is None:
         # representatives of 1 are 1, so the canonical lifts are monic
         chosen = tuple(rings.lift_residue_poly(phibar, base) for phibar, _ in factors)
@@ -78,5 +73,5 @@ def residue_factorization(f, base, seed=0, lifts=None):
             check_lift(phi, phibar, base)
             for phi, (phibar, _) in zip(lifts, factors)
         )
-    return ResidueFactorization(field=field, factors=tuple(factors), lifts=chosen)
+    return ResidueFactorization(factors=tuple(factors), lifts=chosen)
 

@@ -78,6 +78,32 @@ def test_parse_exponent_cap():
     parse_poly("x^4096", B2)  # at the cap: fine
 
 
+def test_parse_size_caps():
+    # nesting cannot get round the caps, and the result is never built
+    with pytest.raises(PolyParseError, match="degree of the result exceeds the cap") as e:
+        parse_poly("(x^64)^128", B2)
+    assert e.value.position == 6  # the outer '^'
+    with pytest.raises(PolyParseError, match="degree of the result exceeds the cap") as e:
+        parse_poly("x^4096 * x", B2)
+    assert e.value.position == 7  # the '*'
+    with pytest.raises(PolyParseError, match="degree in t of the result exceeds the cap"):
+        parse_poly("(t^64)^128", BT2)
+    with pytest.raises(PolyParseError, match="degree in t of the result exceeds the cap"):
+        parse_poly("t^4096 * t", BT2)
+    with pytest.raises(PolyParseError, match="coefficient size in bits"):
+        parse_poly("10^4096 * 10^4096", B2)
+    with pytest.raises(PolyParseError, match="coefficient size in bits"):
+        parse_poly("(10^4096)^2", B2)
+    assert parse_poly("10^4096", B2) == (10**4096,)
+    assert parse_poly("t^4096 * x", BT2)[1] == (0,) * 4096 + (1,)
+
+
+def test_nested_power_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--prime", "2", "--poly", "(x^64)^128")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[E_PARSE]: the degree of the result exceeds the cap of 4096")
+
+
 def test_parse_variable_scoping():
     with pytest.raises(PolyParseError, match="'t' is only available"):
         parse_poly("x - t", B2)
@@ -257,6 +283,15 @@ def test_json_byte_determinism(capsys):
 
 # ---------------------------------------------------------------------------
 # flags and exit codes
+
+
+def test_composite_prime_exits_2(capsys):
+    # a strong pseudoprime to all 12 Miller-Rabin bases
+    code, out, err = run(
+        capsys, "check", "--prime", "3317044064679887385961981", "--poly", "x^2 - 5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error[E_INPUT]: prime expected, got 3317044064679887385961981\n"
 
 
 def test_exit_codes_and_stderr(capsys):

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from maxorder.errors import InputError
-from maxorder.fields import PrimeField, QuotientField, extension_field, is_prime, smallest_irreducible
+from maxorder.fields import (
+    PrimeField,
+    QuotientField,
+    _strong_lucas,
+    extension_field,
+    is_prime,
+    smallest_irreducible,
+)
 
 
 def test_is_prime_small():
@@ -15,6 +22,29 @@ def test_is_prime_small():
     assert not is_prime(-7)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+def test_is_prime_beyond_the_miller_rabin_bound():
+    # strong pseudoprimes to every one of the first 12 prime bases
+    assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
+    assert not is_prime(3317044064679887385961981)  # 1287836182261 * 2575672364521
+    assert not is_prime(3215031751)  # 151 * 751 * 28351, a base 2, 3, 5, 7 pseudoprime
+    for p in (1287836182261, 2575672364521, 399165290221, 798330580441):
+        assert is_prime(p)
+    assert is_prime(2**89 - 1)
+    assert is_prime(2**127 - 1)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_below_30000():
+    def trial(n):
+        return all(n % d for d in range(2, int(n**0.5) + 1))
+
+    passed = [n for n in range(5, 30_000, 2) if not trial(n) and _strong_lucas(n)]
+    # the strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255)
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(_strong_lucas(n) for n in range(5, 30_000, 2) if trial(n))
 
 
 def test_prime_field_ops():
