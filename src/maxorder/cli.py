@@ -36,6 +36,7 @@ from .rings import ValuedBase, poly_to_text
 EXPONENT_CAP = 4096
 DEGREE_CAP = 4096  # in x, and in t for the coefficients over F_q[t]
 COEFFICIENT_BITS_CAP = 16384  # over Z
+WORK_CAP = 1 << 23  # nonzero terms x terms x coefficient words of one product
 DEFAULT_CORPUS_PRIMES = "2,3,5,7,11,13"
 
 
@@ -91,7 +92,11 @@ class _Parser:
     A product or power is refused before it is computed when a bound on
     its size exceeds a cap: its degree, and the size of its coefficients,
     which is the degree in t over F_q[t] and log2 of the sum of the
-    absolute values over Z. Both bounds add up under products.
+    absolute values over Z. Both bounds add up under products. So is one
+    whose work exceeds WORK_CAP: the nonzero terms of one factor times the
+    terms of the other times the words of a coefficient of each, which
+    is 64 bits over Z and one power of t over F_q[t]. A power counts as
+    the product of its two halves.
     """
 
     def __init__(self, toks, domain, atoms, missing):
@@ -101,9 +106,11 @@ class _Parser:
         self.atoms = atoms
         self.missing = missing
         kind = getattr(domain, "kind", None)
+        self.word_size = 1
         if kind == "Q":
             self.coefficient_size = lambda P: math.log2(max(1, sum(map(abs, P))))
             self.coefficient_cap = (COEFFICIENT_BITS_CAP, "coefficient size in bits")
+            self.word_size = 64
         elif kind == "Fq":
             self.coefficient_size = lambda P: max((len(c) - 1 for c in P), default=0)
             self.coefficient_cap = (DEGREE_CAP, "degree in t")
@@ -112,13 +119,28 @@ class _Parser:
             self.coefficient_cap = (0, None)
 
     def check_size(self, factors, at):
-        """Refuse the product of ``factors`` ((polynomial, power) pairs)."""
+        """Refuse the product of two ``factors``, (polynomial, power) pairs."""
         degree = sum(n * (len(P) - 1) for P, n in factors)
         if degree > DEGREE_CAP:
             raise PolyParseError(f"the degree of the result exceeds the cap of {DEGREE_CAP}", at)
         cap, name = self.coefficient_cap
         if sum(n * self.coefficient_size(P) for P, n in factors) > cap:
             raise PolyParseError(f"the {name} of the result exceeds the cap of {cap}", at)
+        (A, i), (B, j) = factors
+        nonzero, _, words_a = self.shape(A, i)
+        _, terms, words_b = self.shape(B, j)
+        if nonzero * terms * words_a * words_b > WORK_CAP:
+            raise PolyParseError(f"the work of the result exceeds the cap of {WORK_CAP}", at)
+
+    def shape(self, P, n):
+        """Bounds on the nonzero terms, terms and coefficient words of P^n."""
+        if not P:
+            return 0, 0, 0
+        terms = n * (len(P) - 1) + 1
+        nonzero = sum(c != self.domain.zero for c in P)
+        # a monomial of P^n picks n of P's nonzero terms, with repetition
+        nonzero = min(terms, math.comb(nonzero + n - 1, n))
+        return nonzero, terms, 1 + int(n * self.coefficient_size(P)) // self.word_size
 
     def peek(self):
         return self.toks[self.pos]
@@ -168,7 +190,7 @@ class _Parser:
                 raise PolyParseError("an integer exponent must follow '^'", at_n)
             if n > EXPONENT_CAP:
                 raise PolyParseError(f"exponent exceeds the cap of {EXPONENT_CAP}", at_n)
-            self.check_size([(value, n)], at)
+            self.check_size([(value, n - n // 2), (value, n // 2)], at)
             value = ffpoly.pow_(self.domain, value, n)
         return value
 

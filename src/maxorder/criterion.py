@@ -141,12 +141,17 @@ def _int_root_candidates(a0):
     return out
 
 
-def _fq_root_candidates(a0, base):
-    """Unit multiples of monic divisors of a0 in F_q[t], capped."""
+def _fq_root_candidates(f, base):
+    """Candidate roots u*d: d a monic divisor of f(0) (capped), u a unit.
+
+    If u*d is a root, the t-top terms of f(u*d) = sum a_i u^i d^i cancel:
+    u is a root over F_q of sum lc(a_i) u^i over the i that maximise
+    deg_t a_i + i deg d. Only those units are tried, in index order.
+    """
     ring = base.ring
     field = ring.field
-    lc = a0[-1]
-    monic = ffpoly.scale(field, a0, field.inv(lc))
+    a0 = f[0]
+    monic = ffpoly.scale(field, a0, field.inv(a0[-1]))
     divisors = [ring.one]
     if ffpoly.deg(monic) >= 1:
         for g, e in ffpoly.factor_monic(field, monic, seed=0):
@@ -157,8 +162,21 @@ def _fq_root_candidates(a0, base):
                     grown.append(cur)
                     cur = ring.mul(cur, g)
             divisors = grown[:DIVISOR_COMBO_CAP]
-    units = [field.element(i) for i in range(1, field.q)]
-    return [ffpoly.scale(field, d, u) for d in divisors for u in units]
+    units = {k: _top_form_units(f, k, field) for k in {ffpoly.deg(d) for d in divisors}}
+    return [ffpoly.scale(field, d, u) for d in divisors for u in units[ffpoly.deg(d)]]
+
+
+def _top_form_units(f, k, field):
+    """The nonzero roots over F_q, by index, of the top-degree form for deg_t d = k."""
+    top = max(len(a) - 1 + i * k for i, a in enumerate(f) if a)
+    form = [a[-1] if a and len(a) - 1 + i * k == top else field.zero for i, a in enumerate(f)]
+    while form[0] == field.zero:  # the factor u^i has only the root 0
+        form.pop(0)
+    form = ffpoly.make_monic(field, ffpoly.trim(field, form))[1]
+    if len(form) < 2:
+        return []
+    linear = (g for g, _ in ffpoly.factor_monic(field, form, seed=0) if len(g) == 2)
+    return sorted((field.neg(g[0]) for g in linear), key=field.index)
 
 
 def _is_pth_power(f, base):
@@ -215,7 +233,7 @@ def _reducibility_witness(f, base):
     if base.kind == "Q":
         candidates = _int_root_candidates(f[0])
     else:
-        candidates = _fq_root_candidates(f[0], base)
+        candidates = _fq_root_candidates(f, base)
     for c in candidates:
         if ring.is_zero(ffpoly.evaluate(ring, f, c)):
             return f"x = {rings.element_to_text(c, base)} is a root"

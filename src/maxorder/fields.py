@@ -3,7 +3,9 @@
 Elements are immutable plain values. An element of F_p is an int in
 [0, p); an element of a quotient extension is a tuple of base-field
 elements of fixed length deg(m), lowest power first. Field objects are
-stateless after construction and safe to share between threads.
+stateless after construction and safe to share between threads: a
+quotient field with at most TABLE_MAX_Q elements builds its log, antilog
+and Zech tables once, in ``__init__``, and never changes them after.
 
 Every field exposes the same small method surface (add, sub, neg, mul,
 inv, pow, pth_root, index, element, from_int), so the polynomial code in
@@ -15,6 +17,7 @@ import math
 from . import ffpoly
 from .errors import InputError
 
+TABLE_MAX_Q = 1 << 10  # F_1024 builds its tables in about 20 ms
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least odd composite that is a strong probable prime to all of _MR_BASES
 _MR_EXACT_BELOW = 318665857834031151167461
@@ -226,6 +229,73 @@ class QuotientField:
         return self.wrap(ffpoly.constant(self.base, self.base.from_int(n)))
 
 
+class TableField(QuotientField):
+    """A QuotientField whose products and sums are table lookups.
+
+    With g a generator of the multiplicative group and n = q - 1, ``_exp``
+    lists g^0 .. g^(n-1) twice over, so a sum of two logs indexes it
+    without reduction; ``_log`` maps every element to its log, and zero
+    to None. The Zech table holds Z(k) = log(1 + g^k), or None where
+    1 + g^k = 0, so that g^a + g^b = g^(a + Z(b - a)).
+    """
+
+    def __init__(self, base, modulus):
+        super().__init__(base, modulus)
+        n = self.q - 1
+        primes = ffpoly._prime_divisors(n)
+        g = next(
+            a for a in map(self.element, range(2, self.q))
+            if all(QuotientField.pow(self, a, n // r) != self.one for r in primes)
+        )
+        exp = [self.one]
+        for _ in range(n - 1):
+            exp.append(QuotientField.mul(self, exp[-1], g))
+        self._log = {a: k for k, a in enumerate(exp)}
+        self._log[self.zero] = None
+        self._exp = exp + exp
+        self._zech = [self._log[QuotientField.add(self, self.one, a)] for a in exp]
+        self._n = n
+        self._neg_one = 0 if self.p == 2 else n // 2  # log(-1)
+
+    def add(self, a, b):
+        la, lb = self._log[a], self._log[b]
+        if la is None or lb is None:
+            return b if la is None else a
+        z = self._zech[lb - la]  # a negative difference wraps round the table
+        return self.zero if z is None else self._exp[la + z]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        la = self._log[a]
+        return self.zero if la is None else self._exp[la + self._neg_one]
+
+    def mul(self, a, b):
+        la, lb = self._log[a], self._log[b]
+        if la is None or lb is None:
+            return self.zero
+        return self._exp[la + lb]
+
+    def inv(self, a):
+        la = self._log[a]
+        if la is None:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._n - la]
+
+    def pow(self, a, n):
+        la = self._log[a]
+        if la is None:
+            return self.one if n == 0 else self.zero
+        return self._exp[la * n % self._n]
+
+
+def quotient_field(base, modulus):
+    """F[u]/(m), on lookup tables when it has at most TABLE_MAX_Q elements."""
+    small = base.q ** (len(modulus) - 1) <= TABLE_MAX_Q
+    return (TableField if small else QuotientField)(base, modulus)
+
+
 def smallest_irreducible(field, d):
     """The canonical monic irreducible of degree d over the field.
 
@@ -251,4 +321,4 @@ def extension_field(p, e):
     base = PrimeField(p)
     if e == 1:
         return base
-    return QuotientField(base, smallest_irreducible(base, e))
+    return quotient_field(base, smallest_irreducible(base, e))

@@ -19,7 +19,7 @@ import math
 
 from . import ffpoly
 from .errors import InputError
-from .fields import PrimeField, QuotientField, extension_field, is_prime
+from .fields import PrimeField, extension_field, is_prime, quotient_field
 from .ffpoly import MINUS_INF
 
 INF = math.inf
@@ -115,7 +115,7 @@ class FunctionRing:
             self.residue_field = field
             self._pi_root = field.neg(pi[0])
         else:
-            self.residue_field = QuotientField(field, pi)
+            self.residue_field = quotient_field(field, pi)
 
     def add(self, a, b):
         return ffpoly.add(self.field, a, b)

@@ -3,11 +3,15 @@
 Everything here recomputes quantities of the package by a different
 method: resultants from Sylvester matrices by fraction-free elimination,
 determinants a second time with exact fractions, residue factorizations
-by exhaustive trial division, and valuations by direct counting. None of
-it imports engine internals beyond the public arithmetic it validates.
+by exhaustive trial division, valuations by direct counting, and the
+reducibility screen's candidate roots over F_q(t) by trying every unit.
+None of it imports engine internals beyond the public arithmetic it
+validates.
 """
 
 from fractions import Fraction
+
+from maxorder import ffpoly
 
 
 # ---------------------------------------------------------------------------
@@ -172,3 +176,28 @@ def factor_exhaustive(field, f):
     from collections import Counter
 
     return Counter(factors)
+
+
+# ---------------------------------------------------------------------------
+# candidate roots of the reducibility screen over F_q(t)
+
+
+def fq_root_candidates_unfiltered(f, base, cap=256):
+    """Every unit times every monic divisor of f(0) in F_q[t], with the
+    divisor list built and capped as the screen builds it: (q - 1) per
+    divisor."""
+    ring = base.ring
+    field = ring.field
+    _, monic = ffpoly.make_monic(field, f[0])
+    divisors = [ring.one]
+    if ffpoly.deg(monic) >= 1:
+        for g, e in ffpoly.factor_monic(field, monic, seed=0):
+            grown = []
+            for d in divisors:
+                cur = d
+                for _ in range(e + 1):
+                    grown.append(cur)
+                    cur = ring.mul(cur, g)
+            divisors = grown[:cap]
+    units = [field.element(i) for i in range(1, field.q)]
+    return [ffpoly.scale(field, d, u) for d in divisors for u in units]

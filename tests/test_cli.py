@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -96,6 +97,27 @@ def test_parse_size_caps():
         parse_poly("(10^4096)^2", B2)
     assert parse_poly("10^4096", B2) == (10**4096,)
     assert parse_poly("t^4096 * x", BT2)[1] == (0,) * 4096 + (1,)
+
+
+def test_parse_work_cap():
+    # refused at the operator before any product is computed
+    with pytest.raises(PolyParseError, match="work of the result exceeds the cap") as e:
+        parse_poly("(x + 10)^4096", B2)
+    assert e.value.position == 8
+    with pytest.raises(PolyParseError, match="work of the result exceeds the cap") as e:
+        parse_poly("(t*x + t + 1)^4096", BT5)
+    assert e.value.position == 13
+    with pytest.raises(PolyParseError, match="work of the result exceeds the cap") as e:
+        parse_poly("(x + 10)^256 * (x + 10)^256", B2)
+    assert e.value.position == 13  # the '*': each factor alone is under the cap
+    assert parse_poly("x^4096", B2) == (0,) * 4096 + (1,)
+    assert parse_poly("(x + 1)^64", B2)[32] == math.comb(64, 32)
+
+
+def test_work_cap_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--prime", "2", "--poly", "(x + 10)^4096")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[E_PARSE]: the work of the result exceeds the cap of {cli.WORK_CAP}")
 
 
 def test_nested_power_exits_2(capsys):

@@ -1,9 +1,15 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxorder import criterion, ffpoly
+from maxorder.cli import main, parse_poly
 from maxorder.criterion import (
+    _fq_root_candidates,
     classical_check,
     count_extensions,
     dedekind_verdict,
@@ -18,8 +24,10 @@ from maxorder.errors import (
     ReduciblePolynomialError,
     VerdictFalseError,
 )
+from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
 from maxorder.rings import ValuedBase
+from oracles import fq_root_candidates_unfiltered
 
 B2 = ValuedBase.rational(2)
 B3 = ValuedBase.rational(3)
@@ -254,3 +262,64 @@ def test_seed_independence():
 def test_screen_passes_quietly_on_irreducible():
     require_no_reducibility_witness((-5, 0, 1), B2)
     require_no_reducibility_witness(((0, 1), (), (1,)), BT2)
+
+
+# ---------------------------------------------------------------------------
+# the screen's candidate roots over F_q(t)
+
+
+def _at_t(p, e):
+    F = extension_field(p, e)
+    return ValuedBase.function_field(p, e, (F.zero, F.one))
+
+
+SCREEN_BASES = [_at_t(3, 1), _at_t(2, 2), _at_t(5, 1), _at_t(3, 2)]  # F_3, F_4, F_5, F_9
+
+
+@st.composite
+def _poly_with_root(draw):
+    """f = (x - c) g over F_q[t], with c and the coefficients of g of t-degree <= 2."""
+    base = draw(st.sampled_from(SCREEN_BASES))
+    ring, field = base.ring, base.ring.field
+
+    def tpoly():
+        digits = draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=3))
+        return ffpoly.trim(field, [field.element(i) for i in digits])
+
+    c = tpoly()
+    g = tuple(tpoly() for _ in range(draw(st.integers(1, 3)))) + (ring.one,)
+    return base, ffpoly.mul(ring, (ring.neg(c), ring.one), g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_with_root())
+def test_screen_candidates_keep_every_root(case):
+    base, f = case
+    ring = base.ring
+    if f[0]:
+        new = _fq_root_candidates(f, base)
+        old = fq_root_candidates_unfiltered(f, base)
+        rest = iter(old)
+        assert all(c in rest for c in new)  # a subsequence, in the same order
+        roots = [c for c in old if ring.is_zero(ffpoly.evaluate(ring, f, c))]
+        assert roots and all(c in new for c in roots)
+    with pytest.raises(ReduciblePolynomialError) as screened:
+        require_no_reducibility_witness(f, base)
+    with patch.object(criterion, "_fq_root_candidates", fq_root_candidates_unfiltered):
+        with pytest.raises(ReduciblePolynomialError) as oracle:
+            require_no_reducibility_witness(f, base)
+    assert str(screened.value) == str(oracle.value)
+
+
+def test_screen_candidates_do_not_grow_with_q(capsys):
+    text = "x^3 + t*x + t^2 + 1"
+    counts = []
+    for p in (101, 100003):
+        base = _at_t(p, 1)
+        f = parse_poly(text, base)
+        divisors = math.prod(e + 1 for _, e in ffpoly.factor_monic(base.ring.field, f[0]))
+        counts.append(len(_fq_root_candidates(f, base)))
+        assert counts[-1] <= 3 * divisors
+    assert counts[0] == counts[1]
+    assert main(["check", "--base", "Fq", "--p", "100003", "--pi", "t", "--poly", text]) == 0
+    assert capsys.readouterr().out.endswith("verdict: R[alpha] is integrally closed\n")

@@ -1,16 +1,20 @@
 import random
+from functools import partial
 
 import pytest
 
 from maxorder.errors import InputError
 from maxorder.fields import (
+    TABLE_MAX_Q,
     PrimeField,
     QuotientField,
+    TableField,
     _strong_lucas,
     extension_field,
     is_prime,
     smallest_irreducible,
 )
+from maxorder.rings import FunctionRing
 
 
 def test_is_prime_small():
@@ -137,3 +141,56 @@ def test_extension_degree_validation():
         extension_field(2, 0)
     with pytest.raises(InputError):
         extension_field(4, 2)
+
+
+def _residue_field_of_quadratic_place_over_f9():
+    F9 = extension_field(3, 2)
+    return FunctionRing(F9, smallest_irreducible(F9, 2)).residue_field
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(extension_field, p, e) for p, e in
+     ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2))]
+    + [_residue_field_of_quadratic_place_over_f9],
+    ids=["F4", "F8", "F9", "F16", "F25", "F27", "F49", "F81-over-F9"],
+)
+def test_table_arithmetic_matches_polynomial_arithmetic(make):
+    # QuotientField's own methods, called on the table field, are the
+    # polynomial-remainder reference
+    F = make()
+    assert isinstance(F, TableField)
+    Q = QuotientField
+    elems = [F.element(i) for i in range(F.q)]
+    for a in elems:
+        for b in elems:
+            assert F.mul(a, b) == Q.mul(F, a, b)
+            assert F.add(a, b) == Q.add(F, a, b)
+            assert F.sub(a, b) == Q.sub(F, a, b)
+        assert F.neg(a) == Q.neg(F, a)
+        for n in (0, 1, F.q - 1, F.q, 10**6):
+            assert F.pow(a, n) == Q.pow(F, a, n)
+        r = F.pth_root(a)
+        assert r == Q.pow(F, a, F.q // F.p)
+        assert Q.pow(F, r, F.p) == a
+        if a == F.zero:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        else:
+            assert F.inv(a) == Q.inv(F, a)
+
+
+def test_large_quotient_field_builds_no_table():
+    F = extension_field(2, 11)
+    assert F.q == 2048 > TABLE_MAX_Q
+    assert type(F) is QuotientField
+    assert not hasattr(F, "_log")
+    T = TableField(F.base, F.modulus)  # the same field on tables, built anyway
+    rng = random.Random(0)
+    for _ in range(500):
+        a, b = F.element(rng.randrange(F.q)), F.element(rng.randrange(F.q))
+        for op in ("mul", "add", "sub"):
+            assert getattr(F, op)(a, b) == getattr(T, op)(a, b)
+        assert F.pow(a, 12345) == T.pow(a, 12345)
+        if a != F.zero:
+            assert F.inv(a) == T.inv(a)
