@@ -17,6 +17,7 @@ place, and an inseparability descent extends a best-effort count of the
 extensions of the valuation to K(alpha).
 """
 
+import random
 from dataclasses import dataclass
 
 from . import ffpoly, rings
@@ -167,15 +168,20 @@ def _fq_root_candidates(f, base):
 
 
 def _top_form_units(f, k, field):
-    """The nonzero roots over F_q, by index, of the top-degree form for deg_t d = k."""
+    """The nonzero roots over F_q, by index, of the top-degree form for deg_t d = k.
+
+    They are the linear factors of gcd(form, u^q - u), split apart by EDF.
+    """
     top = max(len(a) - 1 + i * k for i, a in enumerate(f) if a)
     form = [a[-1] if a and len(a) - 1 + i * k == top else field.zero for i, a in enumerate(f)]
     while form[0] == field.zero:  # the factor u^i has only the root 0
         form.pop(0)
     form = ffpoly.make_monic(field, ffpoly.trim(field, form))[1]
-    if len(form) < 2:
+    x = ffpoly.x_poly(field)
+    roots = ffpoly.gcd(field, form, ffpoly.sub(field, ffpoly.pow_mod(field, x, field.q, form), x))
+    if len(roots) < 2:
         return []
-    linear = (g for g, _ in ffpoly.factor_monic(field, form, seed=0) if len(g) == 2)
+    linear = ffpoly.equal_degree_split(field, roots, 1, random.Random(0))
     return sorted((field.neg(g[0]) for g in linear), key=field.index)
 
 

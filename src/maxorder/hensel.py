@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ffpoly, rings
-from .criterion import _validate, dedekind_verdict, frobenius_descent
+from .criterion import dedekind_verdict
 from .errors import (
     InputError,
     InternalInvariantError,
     PrecisionExhaustedError,
-    ReduciblePolynomialError,
     VerdictFalseError,
 )
 from .rings import poly_divmod_monic, resultant
@@ -131,8 +130,6 @@ def hensel_lift(f, rf, base, k):
     field = base.residue_field
     fk = _poly_mod(f, base, k)
     bars = [ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors]
-    if len(bars) == 1:
-        return LiftedFactorization(precision=k, factors=(fk,), rf=rf)
     factors = _lift_tree(fk, bars, base, k)
     ring = base.ring
     prod = (ring.one,)
@@ -182,31 +179,16 @@ def lift_root_valuation(lifted, index, base):
     return v if v < lifted.precision else None
 
 
-def auto_precision(f, base):
-    """Working precision from the discriminant: max(2, nu(disc) + 1).
+def auto_precision(rf):
+    """Working precision 1 + max deg phibar_i over the repeated residue factors.
 
-    In characteristic zero a vanishing discriminant proves a repeated
-    factor (the derivative is nonzero there), so it is refused. In
-    characteristic p the discriminant also vanishes on any polynomial
-    with an inseparable irreducible factor; the inner polynomial of the
-    inseparability descent is tried instead, and if that discriminant
-    vanishes too the guess falls back to 2 and the caller's retry loop
-    supplies the resolution.
+    Under the affirmative verdict nu(Res(F_i, phi_i)) = deg phi_i for
+    every repeated branch, so this precision resolves every resultant
+    valuation in one round. A failing identity shows as a valuation that
+    is unresolved, and the caller doubles the precision, or as one that
+    differs from deg phi_i.
     """
-    f = _validate(f, base)
-    ring = base.ring
-    d = rings.discriminant(f, ring)
-    if ring.is_zero(d):
-        if base.char == 0:
-            raise ReduciblePolynomialError(
-                "zero discriminant: the polynomial has a repeated factor"
-            )
-        desc = frobenius_descent(f, base)
-        if desc.depth:
-            d = rings.discriminant(desc.inner, ring)
-        if ring.is_zero(d):
-            return 2
-    return max(2, ring.valuation(d) + 1)
+    return 1 + max(ffpoly.deg(rf.factors[i][0]) for i in rf.repeated_indices)
 
 
 def verify_valuation_identities(
@@ -234,7 +216,7 @@ def verify_valuation_identities(
     if not repeated:
         return VerificationReport(entries=(), precision=0, passed=True)
     pinned = precision is not None
-    k = precision if pinned else auto_precision(f, base)
+    k = precision if pinned else auto_precision(rf)
     if k < 2:
         raise InputError("precision must be at least 2")
     while True:

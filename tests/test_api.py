@@ -1,7 +1,11 @@
+import contextlib
+import io
 import os
 import re
+import shlex
 
 import maxorder
+from maxorder.cli import main
 
 PUBLIC = [
     "CorpusDisagreementError",
@@ -39,3 +43,16 @@ def test_readme_library_snippet_runs(capsys):
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out == "(4, 1) 1 1\n(7, 1) 1 1\n"
+
+
+def test_readme_cli_examples_replay():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    examples = re.findall(r"```\n\$ maxorder (.*?)```", text, re.S)
+    assert len(examples) == 7
+    for example in examples:
+        command, *expected = example.splitlines()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(shlex.split(command))
+        assert (out.getvalue() + err.getvalue()).splitlines() == expected, command

@@ -180,7 +180,7 @@ def test_split_human_output(capsys):
 def test_verify_human_output(capsys):
     code, out, _ = run(capsys, "verify", "--prime", "2", "--poly", "x^2 - 3")
     assert code == 0
-    assert "precision: 3\n" in out
+    assert "precision: 2\n" in out
     assert (
         "identity [0]: l = 2, deg phi = 1, nu(Res) = 1, omega = 1/2, l*omega = 1: pass\n"
         in out
@@ -245,7 +245,7 @@ def test_json_split(capsys):
 def test_json_verify(capsys):
     code, _, payload = _json_of(capsys, "verify", "--prime", "2", "--poly", "x^2 - 3")
     assert code == 0
-    assert payload["precision"] == 3
+    assert payload["precision"] == 2
     assert payload["verify"] == [
         {
             "deg_phi": 1,

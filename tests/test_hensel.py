@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from maxorder import ffpoly
+from maxorder import ffpoly, hensel
 from maxorder.criterion import dedekind_verdict
 from maxorder.errors import (
     InputError,
@@ -19,7 +22,7 @@ from maxorder.hensel import (
     verify_valuation_identities,
 )
 from maxorder.residue import residue_factorization
-from maxorder.rings import ValuedBase, reduce_mod
+from maxorder.rings import ValuedBase, lift_residue_poly, reduce_mod
 
 B2 = ValuedBase.rational(2)
 B3 = ValuedBase.rational(3)
@@ -125,28 +128,101 @@ def test_lift_root_valuation_exactness():
 
 
 def test_auto_precision_frozen():
-    assert auto_precision((-3, 0, 1), B2) == 3
-    assert auto_precision((-5, 0, 1), B11) == 2
-    assert auto_precision(((0, 1), (), (1,)), BT2) == 2
-    assert auto_precision((1, 4, 3, 2, 1), B2) == 5
-
-
-def test_auto_precision_rejects_repeated_factors():
-    from maxorder.errors import ReduciblePolynomialError
-
-    with pytest.raises(ReduciblePolynomialError):
-        auto_precision((1, 2, 1), B3)
+    cases = [
+        ((-3, 0, 1), B2, 2),
+        (((0, 1), (), (1,)), BT2, 2),
+        ((1, 4, 3, 2, 1), B2, 3),  # (x^2 + x + 1)^2 at 2
+        ((2, 0, 1, 1, 0, 1), B2, 2),  # x^2 (x^3 + x + 1) + 2: only x is repeated
+    ]
+    for f, base, k in cases:
+        assert auto_precision(residue_factorization(f, base)) == k
 
 
 def test_auto_precision_mixed_inseparable_factor():
     # (x^2 + t)(x + 1) over F_2(t): zero discriminant from an inseparable
-    # factor, no repeated factor, descent cannot fire; fall back to 2
+    # factor and no repeated factor; the degree rule needs no discriminant
     f = ((0, 1), (0, 1), (1,), (1,))
-    assert auto_precision(f, BT2) == 2
+    assert auto_precision(residue_factorization(f, BT2)) == 2
     r = verify_valuation_identities(f, BT2, assume_irreducible=True)
     assert r.passed
     (entry,) = r.entries
     assert entry.degree == 1 and entry.resultant_valuation == 1
+
+
+PROPERTY_BASES = [B2, B3, B5, BT2, BT3]
+
+
+def _coefficient(draw, base):
+    if base.kind == "Q":
+        return draw(st.integers(-20, 20))
+    field = base.ring.field
+    digits = draw(st.lists(st.integers(0, field.q - 1), max_size=3))
+    return ffpoly.trim(field, [field.element(i) for i in digits])
+
+
+@st.composite
+def _monic(draw, base, min_deg, max_deg):
+    n = draw(st.integers(min_deg, max_deg))
+    return tuple(_coefficient(draw, base) for _ in range(n)) + (base.ring.one,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_repeated_factors_never_reach_verify(data):
+    # g^2 | f makes every residue factor of g repeated with nu(f mod phi) >= 2
+    base = data.draw(st.sampled_from(PROPERTY_BASES))
+    g = data.draw(_monic(base, 1, 3))
+    h = data.draw(_monic(base, 0, 3))
+    ring = base.ring
+    f = ffpoly.mul(ring, ffpoly.mul(ring, g, g), h)
+    assert not dedekind_verdict(f, base, assume_irreducible=True).integrally_closed
+    with pytest.raises(VerdictFalseError):
+        verify_valuation_identities(f, base, assume_irreducible=True)
+
+
+def _irreducibles(base, max_deg):
+    field = base.residue_field
+    elements = [field.element(i) for i in range(field.q)]
+    return [
+        tuple(low) + (field.one,)
+        for d in range(1, max_deg + 1)
+        for low in itertools.product(elements, repeat=d)
+        if ffpoly.is_irreducible(field, tuple(low) + (field.one,))
+    ]
+
+
+AFFIRMATIVE_CASES = [(base, _irreducibles(base, 3)) for base in PROPERTY_BASES]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_auto_precision_certifies_in_one_round(data):
+    # f = prod phi_j^l_j + pi*r, phibar_j not dividing rbar for each repeated j: affirmative
+    base, irreducibles = data.draw(st.sampled_from(AFFIRMATIVE_CASES))
+    ring, field = base.ring, base.residue_field
+    bars = data.draw(st.lists(st.sampled_from(irreducibles), min_size=1, max_size=3, unique=True))
+    ls = [data.draw(st.integers(2 if j == 0 else 1, 3)) for j in range(len(bars))]
+    n = sum(l * ffpoly.deg(phibar) for phibar, l in zip(bars, ls))
+    assume(n <= 12)
+    r = tuple(_coefficient(data.draw, base) for _ in range(n))
+    rbar = reduce_mod(r, base)
+    assume(all(ffpoly.rem(field, rbar, phibar) for phibar, l in zip(bars, ls) if l >= 2))
+    prod = (ring.one,)
+    for phibar, l in zip(bars, ls):
+        prod = ffpoly.mul(ring, prod, ffpoly.pow_(ring, lift_residue_poly(phibar, base), l))
+    f = ffpoly.add(ring, prod, ffpoly.scale(ring, r, base.prime_element))
+    lifts = []
+
+    def counted(f, rf, base, k):
+        lifts.append(k)
+        return hensel_lift(f, rf, base, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hensel, "hensel_lift", counted)
+        report = verify_valuation_identities(f, base, assume_irreducible=True)
+    k = 1 + max(ffpoly.deg(phibar) for phibar, l in zip(bars, ls) if l >= 2)
+    assert report.passed and report.precision == k
+    assert lifts == [k]
 
 
 def test_verify_omega_frozen():
@@ -182,7 +258,7 @@ def test_verify_pinned_precision_exhausts():
     with pytest.raises(PrecisionExhaustedError):
         verify_valuation_identities(f, B2, precision=2, assume_irreducible=True)
     r = verify_valuation_identities(f, B2, assume_irreducible=True)
-    assert r.passed and r.precision == 5
+    assert r.passed and r.precision == 3
     (entry,) = r.entries
     assert entry.resultant_valuation == 2
     assert entry.omega == Fraction(1, 2)
