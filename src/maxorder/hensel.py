@@ -72,8 +72,8 @@ def _lift_pair(fk, gbar, hbar, base, k):
     Quadratic iteration; both factors stay monic, the h-update follows
     the classical correction by the remainder of s*e, and g is recovered
     as the exact quotient of f by the monic h, which pins its degree and
-    leading coefficient. The Bezout pair is renormalized each round so
-    cofactor degrees stay below the opposite factor.
+    leading coefficient. The Bezout pair is renormalized after every
+    round but the last, so cofactor degrees stay below the opposite factor.
     """
     ring = base.ring
     field = base.residue_field
@@ -95,6 +95,8 @@ def _lift_pair(fk, gbar, hbar, base, k):
         if _poly_mod(rem, base, m2):
             raise InternalInvariantError("corrected factor does not divide at precision")
         g2 = _poly_mod(g2, base, m2)
+        if m2 == k:
+            return g2, h2
         sg_th = ffpoly.add(ring, ffpoly.mul(ring, s, g2), ffpoly.mul(ring, t, h2))
         b = _poly_mod(ffpoly.sub(ring, sg_th, one), base, m2)
         c, dd = poly_divmod_monic(_poly_mod(ffpoly.mul(ring, s, b), base, m2), h2, ring)

