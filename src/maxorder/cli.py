@@ -37,6 +37,8 @@ EXPONENT_CAP = 4096
 DEGREE_CAP = 4096  # in x, and in t for the coefficients over F_q[t]
 COEFFICIENT_BITS_CAP = 16384  # over Z
 WORK_CAP = 1 << 23  # nonzero terms x terms x coefficient words of one product
+FQ_WORK_CAP = 1 << 19  # field operations of one product over F_q[t]
+FQ_CALL_COST = 20  # field operations that take as long as one coefficient step over F_q[t]
 DEFAULT_CORPUS_PRIMES = "2,3,5,7,11,13"
 
 
@@ -94,9 +96,11 @@ class _Parser:
     which is the degree in t over F_q[t] and log2 of the sum of the
     absolute values over Z. Both bounds add up under products. So is one
     whose work exceeds WORK_CAP: the nonzero terms of one factor times the
-    terms of the other times the words of a coefficient of each, which
-    is 64 bits over Z and one power of t over F_q[t]. A power counts as
-    the product of its two halves.
+    terms of the other times the 64-bit words of a coefficient of each.
+    Over F_q[t] it is the field operations of ``ffpoly.mul``, capped at
+    FQ_WORK_CAP: per pair of nonzero terms, the nonzero t-terms of one
+    coefficient times the t-length of the other, plus FQ_CALL_COST per
+    coefficient step. A power counts as the product of its two halves.
     """
 
     def __init__(self, toks, domain, atoms, missing):
@@ -107,6 +111,7 @@ class _Parser:
         self.missing = missing
         kind = getattr(domain, "kind", None)
         self.word_size = 1
+        self.kind = kind
         if kind == "Q":
             self.coefficient_size = lambda P: math.log2(max(1, sum(map(abs, P))))
             self.coefficient_cap = (COEFFICIENT_BITS_CAP, "coefficient size in bits")
@@ -127,10 +132,16 @@ class _Parser:
         if sum(n * self.coefficient_size(P) for P, n in factors) > cap:
             raise PolyParseError(f"the {name} of the result exceeds the cap of {cap}", at)
         (A, i), (B, j) = factors
-        nonzero, _, words_a = self.shape(A, i)
-        _, terms, words_b = self.shape(B, j)
-        if nonzero * terms * words_a * words_b > WORK_CAP:
-            raise PolyParseError(f"the work of the result exceeds the cap of {WORK_CAP}", at)
+        nonzero_a, _, words_a = self.shape(A, i)
+        nonzero_b, terms_b, words_b = self.shape(B, j)
+        cap, work = WORK_CAP, nonzero_a * terms_b * words_a * words_b
+        if self.kind == "Fq":  # words are t-lengths; a t-exponent of A^i sums i of A's
+            zero = self.domain.field.zero
+            exponents = {k for c in A for k, a in enumerate(c) if a != zero}
+            t_terms = min(words_a, math.comb(len(exponents) + i - 1, i))
+            cap, work = FQ_WORK_CAP, nonzero_a * (FQ_CALL_COST * terms_b + nonzero_b * t_terms * words_b)
+        if work > cap:
+            raise PolyParseError(f"the work of the result exceeds the cap of {cap}", at)
 
     def shape(self, P, n):
         """Bounds on the nonzero terms, terms and coefficient words of P^n."""

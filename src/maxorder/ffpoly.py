@@ -67,7 +67,10 @@ def neg(field, a):
 
 
 def sub(field, a, b):
-    return add(field, a, neg(field, b))
+    out = list(a) + [field.zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = field.sub(out[i], c)
+    return trim(field, out)
 
 
 def scale(field, a, c):

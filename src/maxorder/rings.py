@@ -73,11 +73,8 @@ class IntegerRing:
             v += 1
         return v
 
-    def prime_pow(self, k):
-        return self.p ** k
-
-    def mod_prime_pow(self, a, k):
-        return a % self.p ** k
+    def truncated(self, m):
+        return IntegersModPrimePow(self.p ** m)
 
     def reduce(self, a):
         return a % self.p
@@ -157,15 +154,8 @@ class FunctionRing:
             a = q
             v += 1
 
-    def prime_pow(self, k):
-        if self._pi_is_t:
-            return (self.field.zero,) * k + (self.field.one,)
-        return ffpoly.pow_(self.field, self.pi, k)
-
-    def mod_prime_pow(self, a, k):
-        if self._pi_is_t:
-            return ffpoly.trim(self.field, a[:k])
-        return ffpoly.rem(self.field, a, self.prime_pow(k))
+    def truncated(self, m):
+        return TruncatedFunctionRing(self, m)
 
     def reduce(self, a):
         if self.pi_degree == 1:
@@ -179,6 +169,63 @@ class FunctionRing:
 
     def from_int(self, n):
         return ffpoly.constant(self.field, self.field.from_int(n))
+
+
+class IntegersModPrimePow:
+    """Z/p^m on the representatives 0 <= a < p^m, as ``ffpoly`` needs it."""
+
+    def __init__(self, modulus):
+        self.modulus = modulus
+        self.zero = 0
+        self.one = 1
+
+    def add(self, a, b):
+        return (a + b) % self.modulus
+
+    def sub(self, a, b):
+        return (a - b) % self.modulus
+
+    def neg(self, a):
+        return -a % self.modulus
+
+    def mul(self, a, b):
+        return a * b % self.modulus
+
+    def mod(self, a):
+        return a % self.modulus
+
+
+class TruncatedFunctionRing:
+    """F_q[t]/pi^m on the representatives of t-degree below m * deg pi.
+
+    A product keeps only its terms below t^m at pi = t, and is reduced by
+    pi^m, computed once here, at any other pi. Sums need no reduction.
+    """
+
+    def __init__(self, ring, m):
+        self.field = ring.field
+        self.zero = ()
+        self.one = ring.one
+        self.add, self.sub, self.neg = ring.add, ring.sub, ring.neg
+        self.length = m
+        self.modulus = None if ring._pi_is_t else ffpoly.pow_(ring.field, ring.pi, m)
+
+    def mul(self, a, b):
+        field = self.field
+        if self.modulus is not None:
+            return ffpoly.rem(field, ffpoly.mul(field, a, b), self.modulus)
+        n = min(len(a) + len(b) - 1, self.length)
+        out = [field.zero] * n
+        for i, ca in enumerate(a[:n]):
+            if ca != field.zero:
+                for j, cb in enumerate(b[: n - i]):
+                    out[i + j] = field.add(out[i + j], field.mul(ca, cb))
+        return ffpoly.trim(field, out)
+
+    def mod(self, a):
+        if self.modulus is not None:
+            return ffpoly.rem(self.field, a, self.modulus)
+        return ffpoly.trim(self.field, a[: self.length])
 
 
 class ValuedBase:
@@ -268,6 +315,8 @@ def _prem(A, B, ring):
     """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A reduced by B."""
     dB = len(B) - 1
     lB = B[-1]
+    if lB == ring.one:
+        return ffpoly.rem(ring, A, B)
     R = A
     e = len(A) - len(B) + 1
     while R and len(R) - 1 >= dB:

@@ -3,15 +3,16 @@
 Everything here recomputes quantities of the package by a different
 method: resultants from Sylvester matrices by fraction-free elimination,
 determinants a second time with exact fractions, residue factorizations
-by exhaustive trial division, valuations by direct counting, and the
-reducibility screen's candidate roots over F_q(t) by trying every unit.
-None of it imports engine internals beyond the public arithmetic it
-validates.
+by exhaustive trial division, valuations by direct counting, the
+reducibility screen's candidate roots over F_q(t) by trying every unit,
+and Hensel lifts computed in the exact ring and truncated after each
+step. None of it imports engine internals beyond the public arithmetic
+it validates.
 """
 
 from fractions import Fraction
 
-from maxorder import ffpoly
+from maxorder import ffpoly, rings
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +202,67 @@ def fq_root_candidates_unfiltered(f, base, cap=256):
             divisors = grown[:cap]
     units = [field.element(i) for i in range(1, field.q)]
     return [ffpoly.scale(field, d, u) for d in divisors for u in units]
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting in the exact ring
+
+
+def _poly_mod(P, base, k):
+    """Coefficients reduced to the canonical representatives mod prime^k."""
+    ring = base.ring
+    if base.kind == "Q":
+        return ffpoly.trim(ring, [c % ring.p ** k for c in P])
+    modulus = ffpoly.pow_(ring.field, ring.pi, k)
+    return ffpoly.trim(ring, [ffpoly.rem(ring.field, c, modulus) for c in P])
+
+
+def _lift_pair_oracle(fk, gbar, hbar, base, k):
+    """Quadratic Hensel lift of fk = g*h computed over the whole ring,
+    every intermediate truncated mod prime^(2m) afterwards."""
+    ring = base.ring
+    field = base.residue_field
+    d, sbar, tbar = ffpoly.egcd(field, gbar, hbar)
+    assert d == (field.one,)
+    g, h, s, t = (rings.lift_residue_poly(u, base) for u in (gbar, hbar, sbar, tbar))
+    one = (ring.one,)
+    m = 1
+    while m < k:
+        m2 = min(2 * m, k)
+        e = _poly_mod(ffpoly.sub(ring, fk, ffpoly.mul(ring, g, h)), base, m2)
+        _, r = ffpoly.divmod_(ring, _poly_mod(ffpoly.mul(ring, s, e), base, m2), h)
+        h2 = _poly_mod(ffpoly.add(ring, h, r), base, m2)
+        g2, rem = ffpoly.divmod_(ring, fk, h2)
+        assert not _poly_mod(rem, base, m2)
+        g2 = _poly_mod(g2, base, m2)
+        sg_th = ffpoly.add(ring, ffpoly.mul(ring, s, g2), ffpoly.mul(ring, t, h2))
+        b = _poly_mod(ffpoly.sub(ring, sg_th, one), base, m2)
+        c, dd = ffpoly.divmod_(ring, _poly_mod(ffpoly.mul(ring, s, b), base, m2), h2)
+        s2 = ffpoly.sub(ring, s, dd)
+        t2 = ffpoly.sub(ring, ffpoly.sub(ring, t, ffpoly.mul(ring, t, b)), ffpoly.mul(ring, c, g2))
+        q2, s2 = ffpoly.divmod_(ring, s2, h2)
+        s = _poly_mod(s2, base, m2)
+        t = _poly_mod(ffpoly.add(ring, t2, ffpoly.mul(ring, q2, g2)), base, m2)
+        g, h = g2, h2
+        m = m2
+    return g, h
+
+
+def hensel_lift_oracle(f, rf, base, k):
+    """Branches F_i of monic f mod prime^k, one per residue factor, in order."""
+    field = base.residue_field
+    bars = [ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors]
+
+    def tree(fk, bars):
+        if len(bars) == 1:
+            return [fk]
+        mid = len(bars) // 2
+        gbar = hbar = (field.one,)
+        for u in bars[:mid]:
+            gbar = ffpoly.mul(field, gbar, u)
+        for u in bars[mid:]:
+            hbar = ffpoly.mul(field, hbar, u)
+        g, h = _lift_pair_oracle(fk, gbar, hbar, base, k)
+        return tree(g, bars[:mid]) + tree(h, bars[mid:])
+
+    return tuple(tree(_poly_mod(f, base, k), bars))

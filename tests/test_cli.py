@@ -13,6 +13,7 @@ B2 = ValuedBase.rational(2)
 B7 = ValuedBase.rational(7)
 BT2 = ValuedBase.function_field(2, 1, (0, 1))
 BT5 = ValuedBase.function_field(5, 1, (0, 1))
+BT101 = ValuedBase.function_field(101, 1, (0, 1))
 
 
 def run(capsys, *argv):
@@ -112,6 +113,15 @@ def test_parse_work_cap():
     assert e.value.position == 13  # the '*': each factor alone is under the cap
     assert parse_poly("x^4096", B2) == (0,) * 4096 + (1,)
     assert parse_poly("(x + 1)^64", B2)[32] == math.comb(64, 32)
+
+
+def test_parse_work_cap_prices_field_operations():
+    # over F_q[t] the work counts t-terms: sparse in t is cheap, dense in t is refused
+    P = parse_poly("(x^2048 + t^2048)*(x^2048 + t^2048)", BT2)
+    assert (P[0], P[2048], P[4096]) == ((0,) * 4096 + (1,), (), (1,))
+    with pytest.raises(PolyParseError, match=f"work of the result exceeds the cap of {cli.FQ_WORK_CAP}") as e:
+        parse_poly("(t*x + t + 1)^105", BT101)
+    assert e.value.position == 13
 
 
 def test_work_cap_exits_2(capsys):
@@ -347,6 +357,15 @@ def test_exit_codes_and_stderr(capsys):
     )
     assert code == 2
     assert err.startswith("error[E_PRECISION]:")
+
+
+def test_verify_precision_cap_exits_2(capsys):
+    argv = ["verify", "--base", "Fq", "--p", "3", "--pi", "t^2 + 1", "--poly", "x^2 - t^2 - 1"]
+    code, out, err = run(capsys, *argv, "--precision", "1025")
+    assert (code, out) == (2, "")
+    assert err == "error[E_INPUT]: precision must be at least 2 and at most 1024\n"
+    code, out, _ = run(capsys, *argv, "--precision", "1024")
+    assert code == 0 and "precision: 1024\n" in out
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

@@ -2,9 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxorder import ffpoly
 from maxorder.fields import PrimeField, extension_field
+from maxorder.rings import ValuedBase
 
 from oracles import all_monic_polys, factor_exhaustive, poly_divmod_oracle, poly_mul_oracle
 
@@ -169,3 +172,33 @@ def test_cyclotomic_reduction_factors():
     F11 = PrimeField(11)
     got = ffpoly.factor_monic(F11, (6, 0, 1), seed=0)
     assert got == (((4, 1), 1), ((7, 1), 1))
+
+
+def _element(draw, domain):
+    if getattr(domain, "kind", None) == "Q":
+        return draw(st.integers(-50, 50))
+    if getattr(domain, "kind", None) == "Fq":
+        field = domain.field
+        digits = draw(st.lists(st.integers(0, field.q - 1), max_size=3))
+        return ffpoly.trim(field, [field.element(i) for i in digits])
+    return domain.element(draw(st.integers(0, domain.q - 1)))
+
+
+F9 = extension_field(3, 2)
+SUB_DOMAINS = [  # F_p, F_9, Z and F_9[t]
+    PrimeField(7),
+    F9,
+    ValuedBase.rational(2).ring,
+    ValuedBase.function_field(3, 2, (F9.zero, F9.one)).ring,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sub_is_add_of_negation(data):
+    domain = data.draw(st.sampled_from(SUB_DOMAINS))
+    a, b = (
+        ffpoly.trim(domain, [_element(data.draw, domain) for _ in range(data.draw(st.integers(0, 5)))])
+        for _ in range(2)
+    )
+    assert ffpoly.sub(domain, a, b) == ffpoly.add(domain, a, ffpoly.neg(domain, b))

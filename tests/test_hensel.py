@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from maxorder import ffpoly, hensel
 from maxorder.criterion import dedekind_verdict
 from maxorder.errors import (
     InputError,
+    InternalInvariantError,
     PrecisionExhaustedError,
     VerdictFalseError,
 )
@@ -21,8 +23,11 @@ from maxorder.hensel import (
     lift_root_valuation,
     verify_valuation_identities,
 )
+from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
 from maxorder.rings import ValuedBase, lift_residue_poly, reduce_mod
+
+from oracles import hensel_lift_oracle
 
 B2 = ValuedBase.rational(2)
 B3 = ValuedBase.rational(3)
@@ -30,11 +35,14 @@ B5 = ValuedBase.rational(5)
 B11 = ValuedBase.rational(11)
 BT2 = ValuedBase.function_field(2, 1, (0, 1))
 BT3 = ValuedBase.function_field(3, 1, (0, 1))
+BT3_QUAD = ValuedBase.function_field(3, 1, (1, 0, 1))  # F_3(t) at t^2 + 1
+_F4 = extension_field(2, 2)
+BT4 = ValuedBase.function_field(2, 2, (_F4.zero, _F4.one))
 
 
 def _mod_poly(P, base, k):
-    ring = base.ring
-    return tuple(ring.mod_prime_pow(c, k) for c in P)
+    ring = base.ring.truncated(k)
+    return tuple(ring.mod(c) for c in P)
 
 
 def test_lift_frozen_mod_121():
@@ -106,6 +114,17 @@ def test_cross_resultant_check():
     rf = residue_factorization(f, B11)
     for k in (1, 2, 5):
         assert cross_resultant_check(hensel_lift(f, rf, B11, k), B11)
+
+
+def test_cross_check_rejects_tampered_branches():
+    for f, base in (((-5, 0, 1), B11), (((0, 1), (1,), (1,)), BT2)):  # x^2 + x + t over F_2(t)
+        rf = residue_factorization(f, base)
+        lifted = hensel_lift(f, rf, base, 3)
+        F0, F1 = lifted.factors
+        unit = (base.ring.one,)  # not a multiple of the prime
+        for factors in ((F1, F0), (ffpoly.add(base.ring, F0, unit), F1), (F0,)):
+            with pytest.raises(InternalInvariantError):
+                cross_resultant_check(dataclasses.replace(lifted, factors=factors), base)
 
 
 def test_lift_root_valuation_requires_repeated_factor():
@@ -279,3 +298,29 @@ def test_verify_lift_invariant():
 
 def test_precision_cap_is_a_power_budget():
     assert PRECISION_CAP == 1024
+
+
+def test_pinned_precision_is_capped():
+    f = ((2, 0, 2), (), (1,))  # x^2 - (t^2 + 1): one branch, phi = x
+    r = verify_valuation_identities(f, BT3_QUAD, precision=PRECISION_CAP, assume_irreducible=True)
+    assert r.passed and r.precision == PRECISION_CAP
+    with pytest.raises(InputError, match="at least 2 and at most 1024"):
+        verify_valuation_identities(
+            f, BT3_QUAD, precision=PRECISION_CAP + 1, assume_irreducible=True
+        )
+
+
+ORACLE_BASES = [B2, B3, B5, BT2, BT3, BT3_QUAD, BT4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lift_matches_exact_ring_oracle(data):
+    # computing in R/prime^m per round gives the exact-ring lift's factors, reduced
+    base = data.draw(st.sampled_from(ORACLE_BASES))
+    f = data.draw(_monic(base, 1, 8))
+    k = data.draw(st.sampled_from([1, 2, 3, 5, 8]))
+    rf = residue_factorization(f, base)
+    lifted = hensel_lift(f, rf, base, k)
+    assert lifted.factors == hensel_lift_oracle(f, rf, base, k)
+    assert cross_resultant_check(lifted, base)

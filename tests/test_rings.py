@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxorder import ffpoly
 from maxorder.cli import parse_poly
@@ -146,6 +148,30 @@ def test_resultant_matches_sylvester_over_fqt():
             if not f or not g or (ffpoly.deg(f) == 0 and ffpoly.deg(g) == 0):
                 continue
             assert resultant(f, g, ring) == resultant_oracle(f, g, ring)
+
+
+def _ring_element(draw, ring, nonzero=False):
+    if ring.kind == "Q":
+        return draw(st.integers(-30, 30).filter(lambda c: c or not nonzero))
+    field = ring.field
+    digits = draw(st.lists(st.integers(0, field.q - 1), min_size=int(nonzero), max_size=3))
+    c = ffpoly.trim(field, [field.element(i) for i in digits])
+    return c if c or not nonzero else ring.one
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_resultant_matches_sylvester_property(data):
+    # a monic second argument takes the pseudo-remainder's shortcut
+    ring = data.draw(st.sampled_from([B2.ring, BT2.ring, _b9().ring]))
+    dg = data.draw(st.integers(1, 4))
+    df = data.draw(st.integers(dg, 6))
+    f = tuple(_ring_element(data.draw, ring) for _ in range(df)) + (
+        _ring_element(data.draw, ring, nonzero=True),
+    )
+    lc = ring.one if data.draw(st.booleans()) else _ring_element(data.draw, ring, nonzero=True)
+    g = tuple(_ring_element(data.draw, ring) for _ in range(dg)) + (lc,)
+    assert resultant(f, g, ring) == resultant_oracle(f, g, ring)
 
 
 def test_resultant_known_values():
