@@ -37,8 +37,8 @@ EXPONENT_CAP = 4096
 DEGREE_CAP = 4096  # in x, and in t for the coefficients over F_q[t]
 COEFFICIENT_BITS_CAP = 16384  # over Z
 WORK_CAP = 1 << 23  # nonzero terms x terms x coefficient words of one product
-FQ_WORK_CAP = 1 << 19  # field operations of one product over F_q[t]
-FQ_CALL_COST = 20  # field operations that take as long as one coefficient step over F_q[t]
+FQ_WORK_CAP = 1 << 19  # F_p operations of one product over F_q[t]
+FQ_CALL_COST = 20  # F_p operations that take as long as one coefficient step over F_q[t]
 DEFAULT_CORPUS_PRIMES = "2,3,5,7,11,13"
 
 
@@ -99,8 +99,9 @@ class _Parser:
     terms of the other times the 64-bit words of a coefficient of each.
     Over F_q[t] it is the field operations of ``ffpoly.mul``, capped at
     FQ_WORK_CAP: per pair of nonzero terms, the nonzero t-terms of one
-    coefficient times the t-length of the other, plus FQ_CALL_COST per
-    coefficient step. A power counts as the product of its two halves.
+    coefficient times the t-length of the other, each weighted by the
+    field's ``op_cost``, plus FQ_CALL_COST per coefficient step. A power
+    counts as the product of its two halves.
     """
 
     def __init__(self, toks, domain, atoms, missing):
@@ -139,7 +140,8 @@ class _Parser:
             zero = self.domain.field.zero
             exponents = {k for c in A for k, a in enumerate(c) if a != zero}
             t_terms = min(words_a, math.comb(len(exponents) + i - 1, i))
-            cap, work = FQ_WORK_CAP, nonzero_a * (FQ_CALL_COST * terms_b + nonzero_b * t_terms * words_b)
+            ops = self.domain.field.op_cost * nonzero_b * t_terms * words_b
+            cap, work = FQ_WORK_CAP, nonzero_a * (FQ_CALL_COST * terms_b + ops)
         if work > cap:
             raise PolyParseError(f"the work of the result exceeds the cap of {cap}", at)
 

@@ -19,6 +19,7 @@ extensions of the valuation to K(alpha).
 
 import random
 from dataclasses import dataclass
+from itertools import count, islice
 
 from . import ffpoly, rings
 from .errors import (
@@ -28,10 +29,12 @@ from .errors import (
     ReduciblePolynomialError,
     VerdictFalseError,
 )
-from .fields import PrimeField
+from .fields import irreducibles, is_prime
 from .residue import ResidueFactorization, residue_factorization
 from .rings import (
     MINUS_INF,
+    FunctionRing,
+    ValuedBase,
     discriminant,
     gauss_valuation,
     poly_divmod_monic,
@@ -39,12 +42,7 @@ from .rings import (
     reduce_mod,
 )
 
-ROOT_SEARCH_BOUND = 10_000
-DIVISOR_COMBO_CAP = 256
-# the places where _squarefree_at_aux_place looks: ell over Q, t = c over F_q(t)
-AUX_PRIMES = (2, 3, 5, 7)
-AUX_PLACES = len(AUX_PRIMES)
-_AUX_PRIME_FIELDS = tuple(PrimeField(ell) for ell in AUX_PRIMES)
+AUX_PLACES = 4  # the places _aux_place tries before the exact discriminant
 
 
 @dataclass(frozen=True)
@@ -127,61 +125,6 @@ def _validate(f, base):
 # best-effort reducibility detection (positives are proofs, silence is not)
 
 
-def _int_root_candidates(a0):
-    """Divisors of |a0| found by trial division, both signs."""
-    a0 = abs(a0)
-    out = set()
-    d = 1
-    while d * d <= a0 and d <= ROOT_SEARCH_BOUND:
-        if a0 % d == 0:
-            out.update((d, -d, a0 // d, -(a0 // d)))
-        d += 1
-    return out
-
-
-def _fq_root_candidates(f, base):
-    """Candidate roots u*d: d a monic divisor of f(0) (capped), u a unit.
-
-    If u*d is a root, the t-top terms of f(u*d) = sum a_i u^i d^i cancel:
-    u is a root over F_q of sum lc(a_i) u^i over the i that maximise
-    deg_t a_i + i deg d. Only those units are tried, in index order.
-    """
-    ring = base.ring
-    field = ring.field
-    a0 = f[0]
-    monic = ffpoly.scale(field, a0, field.inv(a0[-1]))
-    divisors = [ring.one]
-    if ffpoly.deg(monic) >= 1:
-        for g, e in ffpoly.factor_monic(field, monic, seed=0):
-            grown = []
-            for d in divisors:
-                cur = d
-                for _ in range(e + 1):
-                    grown.append(cur)
-                    cur = ring.mul(cur, g)
-            divisors = grown[:DIVISOR_COMBO_CAP]
-    units = {k: _top_form_units(f, k, field) for k in {ffpoly.deg(d) for d in divisors}}
-    return [ffpoly.scale(field, d, u) for d in divisors for u in units[ffpoly.deg(d)]]
-
-
-def _top_form_units(f, k, field):
-    """The nonzero roots over F_q, by index, of the top-degree form for deg_t d = k.
-
-    They are the linear factors of gcd(form, u^q - u), split apart by EDF.
-    """
-    top = max(len(a) - 1 + i * k for i, a in enumerate(f) if a)
-    form = [a[-1] if a and len(a) - 1 + i * k == top else field.zero for i, a in enumerate(f)]
-    while form[0] == field.zero:  # the factor u^i has only the root 0
-        form.pop(0)
-    form = ffpoly.make_monic(field, ffpoly.trim(field, form))[1]
-    x = ffpoly.x_poly(field)
-    roots = ffpoly.gcd(field, form, ffpoly.sub(field, ffpoly.pow_mod(field, x, field.q, form), x))
-    if len(roots) < 2:
-        return []
-    linear = ffpoly.equal_degree_split(field, roots, 1, random.Random(0))
-    return sorted((field.neg(g[0]) for g in linear), key=field.index)
-
-
 def _is_pth_power(f, base):
     """In char p: every x-exponent and every inner t-exponent divisible by p."""
     p = base.char
@@ -212,34 +155,86 @@ def frobenius_descent(f, base):
     return InseparabilityDescent(depth, cur)
 
 
-def _squarefree_at_aux_place(g, base):
-    """Whether monic g is squarefree at one of AUX_PLACES auxiliary places.
+def _places(base):
+    """Every place of the base's global field, in one fixed order.
 
-    Over Q the places are the primes AUX_PRIMES; over F_q(t) they are
-    t = c for the first AUX_PLACES elements c of F_q in index order. As
-    g is monic, its discriminant maps to the discriminant of each image,
-    so an image with gcd(g, g') = 1 over the finite field proves that
-    disc(g) is nonzero. False proves nothing.
+    Over Q these are the primes; over F_q(t) the monic irreducibles of
+    F_q[t] by degree, then in the order of ``fields.irreducibles``.
     """
     if base.kind == "Q":
-        images = ((F, tuple(c % F.p for c in g)) for F in _AUX_PRIME_FIELDS)
+        return (ValuedBase.rational(ell) for ell in count(2) if is_prime(ell))
+    field = base.ring.field
+    return (ValuedBase(FunctionRing(field, pi)) for d in count(1) for pi in irreducibles(field, d))
+
+
+def _aux_place(g, base):
+    """The first of the first AUX_PLACES places where monic g is squarefree.
+
+    As g is monic, disc(g) maps to the discriminant of its image at
+    every place, so a place found proves that disc(g) is nonzero. None
+    proves nothing.
+    """
+    for place in islice(_places(base), AUX_PLACES):
+        field = place.residue_field
+        gbar = reduce_mod(g, place)
+        if ffpoly.gcd(field, gbar, ffpoly.derivative(field, gbar)) == (field.one,):
+            return place
+    return None
+
+
+def _fq_root_candidates(g, base, place):
+    """At most deg g candidates that include every root of monic g over R.
+
+    g must be squarefree at the auxiliary ``place``, so every root of g
+    reduces to a simple root there, read off gcd(g, x^Q - x), and is the
+    unique Newton lift of it. The lift stops once a residue pins the
+    root: over Z mod ell^k > 2 (1 + max |a_i|), Cauchy's bound, then the
+    symmetric residue; over F_q[t] mod pi^k with k deg pi > deg_t c,
+    where deg_t c <= deg_t a_i / (n - i) for some i, or nothing could
+    cancel c^n. Sorted by (|c|, c < 0) over Z and by ``ffpoly.sort_key``.
+    It serves both bases; the name stays because the benchmark's tracer
+    (bench/tracing.py) wraps ``criterion._fq_root_candidates``.
+    """
+    aux, field = place.ring, place.residue_field
+    gbar = reduce_mod(g, place)
+    x = ffpoly.x_poly(field)
+    split = ffpoly.gcd(field, gbar, ffpoly.sub(field, ffpoly.pow_mod(field, x, field.q, gbar), x))
+    if len(split) < 2:
+        return []
+    if base.kind == "Q":
+        bound = 2 * (1 + max(abs(a) for a in g[:-1]))
+        need, modulus = 1, aux.p
+        while modulus <= bound:
+            need, modulus = need + 1, modulus * aux.p
     else:
-        field = base.ring.field
-        images = (
-            (field, tuple(ffpoly.evaluate(field, a, c) for a in g))
-            for c in map(field.element, range(min(AUX_PLACES, field.q)))
-        )
-    for field, h in images:
-        if ffpoly.gcd(field, h, ffpoly.derivative(field, h)) == (field.one,):
-            return True
-    return False
+        n = len(g) - 1
+        top = max(((len(a) - 1) // (n - i) for i, a in enumerate(g[:-1]) if a), default=0)
+        need = top // aux.pi_degree + 1
+    dg = ffpoly.derivative(base.ring, g)
+    dgbar = ffpoly.derivative(field, gbar)
+    out = []
+    for h in ffpoly.equal_degree_split(field, split, 1, random.Random(0)):
+        root = field.neg(h[0])
+        r, s, m = aux.lift(root), aux.lift(field.inv(ffpoly.evaluate(field, dgbar, root))), 1
+        while m < need:  # r is a root and s is 1/g'(r) mod prime^m
+            m = min(2 * m, need)
+            T = aux.truncated(m)
+            r = T.sub(r, T.mul(ffpoly.evaluate(T, [T.mod(a) for a in g], r), s))
+            if m < need:
+                d = ffpoly.evaluate(T, [T.mod(a) for a in dg], r)
+                s = T.add(s, T.mul(s, T.sub(T.one, T.mul(d, s))))
+        out.append(r - modulus if base.kind == "Q" and 2 * r > modulus else r)
+    if base.kind == "Q":
+        return sorted(out, key=lambda c: (abs(c), c < 0))
+    return sorted(out, key=lambda c: ffpoly.sort_key(base.ring.field, c))
 
 
 def _reducibility_witness(f, base):
     """A human-readable proof of reducibility, or None if none was found.
 
-    Every returned witness is sound; the search is incomplete, so None
-    only means no cheap obstruction turned up.
+    Every returned witness is sound. A repeated factor and a root over K
+    are always found, of f or, when f = g(x^(p^d)) with d >= 1, of the
+    inner polynomial g; None says nothing about other factors.
     """
     ring = base.ring
     if ffpoly.deg(f) < 2:
@@ -249,22 +244,25 @@ def _reducibility_witness(f, base):
     if base.char and _is_pth_power(f, base):
         return f"the polynomial is a p-th power (p = {base.char})"
     desc = frobenius_descent(f, base)
-    if (
-        ffpoly.deg(desc.inner) >= 2
-        and not _squarefree_at_aux_place(desc.inner, base)
-        and ring.is_zero(discriminant(desc.inner, ring))
-    ):
-        # in char p an irreducible factor with zero derivative also zeroes it
-        factor = "repeated or inseparable factor" if base.char else "repeated factor"
-        whose = "inner polynomial of the inseparability descent" if desc.depth else "polynomial"
-        return f"the {whose} has a {factor} (zero discriminant)"
-    if base.kind == "Q":
-        candidates = _int_root_candidates(f[0])
-    else:
-        candidates = _fq_root_candidates(f, base)
-    for c in candidates:
-        if ring.is_zero(ffpoly.evaluate(ring, f, c)):
-            return f"x = {rings.element_to_text(c, base)} is a root"
+    g = desc.inner
+    if ffpoly.deg(g) < 2:  # x^(p^d) - c is a p-th power or irreducible
+        return None
+    whose = "inner polynomial of the inseparability descent" if desc.depth else "polynomial"
+    place = _aux_place(g, base)
+    if place is None:
+        disc = discriminant(g, ring)
+        if ring.is_zero(disc):
+            # in char p an irreducible factor with zero derivative also zeroes it
+            factor = "repeated or inseparable factor" if base.char else "repeated factor"
+            return f"the {whose} has a {factor} (zero discriminant)"
+        place = next(P for P in _places(base) if P.ring.reduce(disc) != P.residue_field.zero)
+    for c in _fq_root_candidates(g, base, place):
+        if ring.is_zero(ffpoly.evaluate(ring, g, c)):
+            root = rings.element_to_text(c, base)
+            if desc.depth:
+                n = base.char ** desc.depth
+                return f"y = {root} is a root of the inner polynomial g(y) of the descent f = g(x^{n})"
+            return f"x = {root} is a root"
     return None
 
 

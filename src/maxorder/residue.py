@@ -32,15 +32,6 @@ class ResidueFactorization:
         return tuple(i for i, (_, l) in enumerate(self.factors) if l >= 2)
 
 
-def factor_residue(fbar, field, seed=0):
-    """Canonical list of (irreducible factor, multiplicity) of monic fbar."""
-    if ffpoly.deg(fbar) is ffpoly.MINUS_INF or ffpoly.deg(fbar) < 1:
-        raise InputError("reduced polynomial must have degree >= 1")
-    if not ffpoly.is_monic(field, fbar):
-        raise InputError("reduced polynomial must be monic")
-    return ffpoly.factor_monic(field, fbar, seed=seed)
-
-
 def check_lift(phi, phibar, base):
     """Validate a caller-supplied lift: monic, right degree, right image."""
     ring = base.ring
@@ -59,10 +50,9 @@ def residue_factorization(f, base, seed=0, lifts=None):
     ``lifts`` optionally overrides the canonical lifts; it must supply
     one monic lift per factor, in the canonical factor order.
     """
-    fbar = rings.reduce_mod(f, base)
-    if ffpoly.deg(fbar) != ffpoly.deg(f):
-        raise InputError("polynomial must be monic over the ring of integers")
-    factors = factor_residue(fbar, base.residue_field, seed=seed)
+    if len(f) < 2 or not ffpoly.is_monic(base.ring, f):
+        raise InputError("polynomial must be monic of degree >= 1 over the ring of integers")
+    factors = ffpoly.factor_monic(base.residue_field, rings.reduce_mod(f, base), seed=seed)
     if lifts is None:
         # representatives of 1 are 1, so the canonical lifts are monic
         chosen = tuple(rings.lift_residue_poly(phibar, base) for phibar, _ in factors)

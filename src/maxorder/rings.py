@@ -244,13 +244,16 @@ class ValuedBase:
         self.kind = ring.kind
         self.residue_field = ring.residue_field
         self.prime_element = ring.prime_element
+        if ring.kind == "Q":
+            self.prime, self.char = ring.p, 0
+        else:
+            self.coefficient_field = field = ring.field
+            self.p = self.char = field.p
+            self.e = 1 if isinstance(field, PrimeField) else field.dim
 
     @classmethod
     def rational(cls, p):
-        base = cls(IntegerRing(p))
-        base.prime = p
-        base.char = 0
-        return base
+        return cls(IntegerRing(p))
 
     @classmethod
     def function_field(cls, p, e, pi_coeffs):
@@ -259,13 +262,7 @@ class ValuedBase:
         ``pi_coeffs`` is a polynomial in t over F_{p^e}, given as a
         trimmed tuple of field elements.
         """
-        field = extension_field(p, e)
-        base = cls(FunctionRing(field, pi_coeffs))
-        base.p = p
-        base.e = e
-        base.char = p
-        base.coefficient_field = field
-        return base
+        return cls(FunctionRing(extension_field(p, e), pi_coeffs))
 
     def describe(self):
         if self.kind == "Q":

@@ -124,6 +124,21 @@ def test_parse_work_cap_prices_field_operations():
     assert e.value.position == 13
 
 
+@pytest.mark.parametrize("p, e, kind, accepted, refused", [
+    (101, 1, "PrimeField", 50, 105),
+    (3, 2, "TableField", 50, 105),  # lookups cost what F_p operations cost
+    (37, 2, "QuotientField", 20, 50),  # each operation is a product and a reduction
+])
+def test_parse_work_cap_weights_field_operations(p, e, kind, accepted, refused):
+    base = ValuedBase.function_field(p, e, (0, 1) if e == 1 else ((0, 0), (1, 0)))
+    field = base.ring.field
+    assert type(field).__name__ == kind and (field.op_cost == 1) == (kind != "QuotientField")
+    assert len(parse_poly(f"(t*x + t + 1)^{accepted}", base)) == accepted + 1
+    with pytest.raises(PolyParseError, match="work of the result exceeds the cap") as refusal:
+        parse_poly(f"(t*x + t + 1)^{refused}", base)
+    assert refusal.value.position == 13
+
+
 def test_work_cap_exits_2(capsys):
     code, out, err = run(capsys, "check", "--prime", "2", "--poly", "(x + 10)^4096")
     assert (code, out) == (2, "")

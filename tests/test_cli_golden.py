@@ -4,7 +4,8 @@
 ``cli.main`` for every argv in CASES: the four polynomial commands in
 text and JSON over Q, F_2(t) at t and at t^2 + t + 1, F_9(t), F_3(t) and
 F_5(t), the error exits, and two corpus runs. After an intended change
-of output, re-record with ``PYTHONPATH=src python tests/test_cli_golden.py``
+of output, re-record with ``PYTHONPATH=src python tests/test_cli_golden.py``,
+which prints the argv of every case that is new or whose output changed,
 and say why in the change log.
 """
 
@@ -48,6 +49,8 @@ INPUTS = (
     (F3_AT_T, "x^3 + t^2", ()),
     (F5_AT_T, "x^2 - t", ()),
     (F5_AT_T, "x^4 + t*x + t^2", ()),
+    (("--prime", "2"), "x^2 - 200022*x + 10002200057", ()),  # the roots 100003 and 100019
+    (F3_AT_T, "x^6 + 2*t^2", ()),  # (x^3 - t)(x^3 + t), with no root in F_3(t)
 )
 
 EXTRA = (
@@ -96,7 +99,16 @@ def test_cli_output_matches_golden():
 
 
 if __name__ == "__main__":
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            old = {tuple(case["argv"]): case for case in json.load(fh)}
+    cases = [_run(argv) for argv in CASES]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump([_run(argv) for argv in CASES], fh, indent=1, sort_keys=True)
+        json.dump(cases, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for case in cases:
+        before = old.get(tuple(case["argv"]))
+        if before != case:
+            print("new" if before is None else "changed", case["argv"])
     print(f"recorded {len(CASES)} cases to {GOLDEN}", file=sys.stderr)

@@ -1,4 +1,3 @@
-import math
 import random
 from unittest.mock import patch
 
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 from maxorder import criterion, ffpoly, rings
 from maxorder.cli import main, parse_poly
 from maxorder.criterion import (
+    _aux_place,
     _fq_root_candidates,
     _reducibility_witness,
-    _squarefree_at_aux_place,
     classical_check,
     count_extensions,
     dedekind_verdict,
@@ -236,6 +235,38 @@ def test_reducible_polynomial_root_over_fqt():
         dedekind_verdict(f, BT3)
 
 
+@pytest.mark.parametrize("p, text, root", [
+    (3, "x^6 + 2*t^2", "t"),  # (x^3 - t)(x^3 + t), with no root in F_3(t)
+    (2, "x^4 + x^2 + t^2 + t", "t"),  # (x^2 + t)(x^2 + t + 1), with no root in F_2(t)
+])
+def test_reducible_root_of_inner_descent_polynomial(p, text, root):
+    base = _at_t(p, 1)
+    with pytest.raises(ReduciblePolynomialError) as e:
+        dedekind_verdict(parse_poly(text, base), base)
+    assert f"y = {root} is a root of the inner polynomial g(y) of the descent" in str(e.value)
+    assert f"f = g(x^{p})" in str(e.value)
+    # an inner polynomial of degree 1 always has a root, but proves nothing
+    require_no_reducibility_witness(parse_poly(f"x^{p} + t", base), base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([B2, B3, B5]),
+    st.integers(-10**12, 10**12),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+)
+def test_screen_finds_large_rational_roots(base, c, g):
+    f = ffpoly.mul(base.ring, (-c, 1), tuple(g) + (1,))
+    with pytest.raises(ReduciblePolynomialError) as e:
+        require_no_reducibility_witness(f, base)
+    # the integer roots of g lie within Cauchy's bound 1 + 50
+    roots = {c} | {r for r in range(-51, 52) if ffpoly.evaluate(base.ring, tuple(g) + (1,), r) == 0}
+    if 0 in roots:
+        assert "x divides" in str(e.value)
+    elif "zero discriminant" not in str(e.value):
+        assert f"x = {min(roots, key=lambda r: (abs(r), r < 0))} is a root" in str(e.value)
+
+
 def test_assume_irreducible_skips_screen():
     v = dedekind_verdict((-4, 0, 1), B3, assume_irreducible=True)
     assert v.integrally_closed  # multiplicity one mod 3, screen skipped
@@ -314,31 +345,29 @@ def _poly_with_root(draw):
 def test_screen_candidates_keep_every_root(case):
     base, f = case
     ring = base.ring
-    if f[0]:
-        new = _fq_root_candidates(f, base)
-        old = fq_root_candidates_unfiltered(f, base)
-        rest = iter(old)
-        assert all(c in rest for c in new)  # a subsequence, in the same order
-        roots = [c for c in old if ring.is_zero(ffpoly.evaluate(ring, f, c))]
-        assert roots and all(c in new for c in roots)
     with pytest.raises(ReduciblePolynomialError) as screened:
         require_no_reducibility_witness(f, base)
-    with patch.object(criterion, "_fq_root_candidates", fq_root_candidates_unfiltered):
-        with pytest.raises(ReduciblePolynomialError) as oracle:
-            require_no_reducibility_witness(f, base)
-    assert str(screened.value) == str(oracle.value)
+    message = str(screened.value)
+    if not f[0]:
+        assert "x divides" in message
+        return
+    roots = [c for c in fq_root_candidates_unfiltered(f, base) if ring.is_zero(ffpoly.evaluate(ring, f, c))]
+    roots.sort(key=lambda c: ffpoly.sort_key(ring.field, c))
+    assert roots
+    place = _aux_place(f, base)
+    if place is not None:
+        candidates = _fq_root_candidates(f, base, place)
+        assert len(candidates) <= ffpoly.deg(f) and all(c in candidates for c in roots)
+    if frobenius_descent(f, base).depth == 0 and "zero discriminant" not in message:
+        assert f"x = {rings.element_to_text(roots[0], base)} is a root" in message
 
 
 def test_screen_candidates_do_not_grow_with_q(capsys):
     text = "x^3 + t*x + t^2 + 1"
-    counts = []
     for p in (101, 100003):
         base = _at_t(p, 1)
         f = parse_poly(text, base)
-        divisors = math.prod(e + 1 for _, e in ffpoly.factor_monic(base.ring.field, f[0]))
-        counts.append(len(_fq_root_candidates(f, base)))
-        assert counts[-1] <= 3 * divisors
-    assert counts[0] == counts[1]
+        assert len(_fq_root_candidates(f, base, _aux_place(f, base))) <= ffpoly.deg(f)
     assert main(["check", "--base", "Fq", "--p", "100003", "--pi", "t", "--poly", text]) == 0
     assert capsys.readouterr().out.endswith("verdict: R[alpha] is integrally closed\n")
 
@@ -390,10 +419,10 @@ def _screen_input(draw):
 def test_aux_place_certificate_is_sound_and_changes_no_result(case):
     base, f = case
     ring = base.ring
-    if _squarefree_at_aux_place(f, base):
+    if _aux_place(f, base) is not None:
         assert not ring.is_zero(rings.discriminant(f, ring))
     fast = _reducibility_witness(f, base)
-    with patch.object(criterion, "_squarefree_at_aux_place", lambda g, base: False):
+    with patch.object(criterion, "_aux_place", lambda g, base: None):
         assert _reducibility_witness(f, base) == fast
 
 

@@ -11,8 +11,8 @@ from maxorder.fields import (
     TableField,
     _strong_lucas,
     extension_field,
+    irreducibles,
     is_prime,
-    smallest_irreducible,
 )
 from maxorder.rings import FunctionRing
 
@@ -130,10 +130,23 @@ def test_smallest_irreducible_is_irreducible():
 
     for p, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
         F = PrimeField(p)
-        m = smallest_irreducible(F, d)
+        m = next(irreducibles(F, d))
         assert ffpoly.is_monic(F, m)
         assert ffpoly.deg(m) == d
         assert ffpoly.is_irreducible(F, m)
+
+
+def test_irreducibles_lists_each_once_in_order():
+    from maxorder import ffpoly
+
+    # the number of monic irreducibles of degree d over F_q, by Gauss's formula
+    for p, d, count in ((2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (5, 3, 40)):
+        F = PrimeField(p)
+        found = list(irreducibles(F, d))
+        assert len(found) == count
+        keys = [tuple(reversed(m)) for m in found]
+        assert keys == sorted(keys) and len(set(keys)) == count
+    assert list(irreducibles(PrimeField(2), 2)) == [(1, 1, 1)]
 
 
 def test_extension_degree_validation():
@@ -145,7 +158,7 @@ def test_extension_degree_validation():
 
 def _residue_field_of_quadratic_place_over_f9():
     F9 = extension_field(3, 2)
-    return FunctionRing(F9, smallest_irreducible(F9, 2)).residue_field
+    return FunctionRing(F9, next(irreducibles(F9, 2))).residue_field
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 
 from maxorder import ffpoly
 from maxorder.errors import InputError
-from maxorder.residue import check_lift, factor_residue, residue_factorization
+from maxorder.residue import check_lift, residue_factorization
 from maxorder.rings import ValuedBase, lift_residue_poly, reduce_mod
 
 B2 = ValuedBase.rational(2)
