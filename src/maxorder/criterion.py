@@ -19,7 +19,7 @@ extensions of the valuation to K(alpha).
 
 import random
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 
 from . import ffpoly, rings
 from .errors import (
@@ -29,12 +29,9 @@ from .errors import (
     ReduciblePolynomialError,
     VerdictFalseError,
 )
-from .fields import irreducibles, is_prime
 from .residue import ResidueFactorization, residue_factorization
 from .rings import (
     MINUS_INF,
-    FunctionRing,
-    ValuedBase,
     discriminant,
     gauss_valuation,
     poly_divmod_monic,
@@ -155,18 +152,6 @@ def frobenius_descent(f, base):
     return InseparabilityDescent(depth, cur)
 
 
-def _places(base):
-    """Every place of the base's global field, in one fixed order.
-
-    Over Q these are the primes; over F_q(t) the monic irreducibles of
-    F_q[t] by degree, then in the order of ``fields.irreducibles``.
-    """
-    if base.kind == "Q":
-        return (ValuedBase.rational(ell) for ell in count(2) if is_prime(ell))
-    field = base.ring.field
-    return (ValuedBase(FunctionRing(field, pi)) for d in count(1) for pi in irreducibles(field, d))
-
-
 def _aux_place(g, base):
     """The first of the first AUX_PLACES places where monic g is squarefree.
 
@@ -174,7 +159,7 @@ def _aux_place(g, base):
     every place, so a place found proves that disc(g) is nonzero. None
     proves nothing.
     """
-    for place in islice(_places(base), AUX_PLACES):
+    for place in islice(base.places(), AUX_PLACES):
         field = place.residue_field
         gbar = reduce_mod(g, place)
         if ffpoly.gcd(field, gbar, ffpoly.derivative(field, gbar)) == (field.one,):
@@ -213,16 +198,19 @@ def _fq_root_candidates(g, base, place):
     dg = ffpoly.derivative(base.ring, g)
     dgbar = ffpoly.derivative(field, gbar)
     out = []
+    top = aux.truncated(need)
     for h in ffpoly.equal_degree_split(field, split, 1, random.Random(0)):
         root = field.neg(h[0])
-        r, s, m = aux.lift(root), aux.lift(field.inv(ffpoly.evaluate(field, dgbar, root))), 1
+        r, s = (top.mod(aux.lift(c)) for c in (root, field.inv(ffpoly.evaluate(field, dgbar, root))))
+        m = 1
         while m < need:  # r is a root and s is 1/g'(r) mod prime^m
             m = min(2 * m, need)
-            T = aux.truncated(m)
+            T = aux.truncated(m, need)
             r = T.sub(r, T.mul(ffpoly.evaluate(T, [T.mod(a) for a in g], r), s))
             if m < need:
                 d = ffpoly.evaluate(T, [T.mod(a) for a in dg], r)
                 s = T.add(s, T.mul(s, T.sub(T.one, T.mul(d, s))))
+        r = top.to_ring(r)
         out.append(r - modulus if base.kind == "Q" and 2 * r > modulus else r)
     if base.kind == "Q":
         return sorted(out, key=lambda c: (abs(c), c < 0))
@@ -255,7 +243,7 @@ def _reducibility_witness(f, base):
             # in char p an irreducible factor with zero derivative also zeroes it
             factor = "repeated or inseparable factor" if base.char else "repeated factor"
             return f"the {whose} has a {factor} (zero discriminant)"
-        place = next(P for P in _places(base) if P.ring.reduce(disc) != P.residue_field.zero)
+        place = next(P for P in base.places() if P.ring.reduce(disc) != P.residue_field.zero)
     for c in _fq_root_candidates(g, base, place):
         if ring.is_zero(ffpoly.evaluate(ring, g, c)):
             root = rings.element_to_text(c, base)

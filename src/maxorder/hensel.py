@@ -76,17 +76,19 @@ def _lift_pair(fk, gbar, hbar, base, k):
     recovered as the exact quotient of f by the monic h, which pins its
     degree and leading coefficient. The Bezout pair is updated after
     every round but the last; its cofactor degrees stay below the
-    opposite factor.
+    opposite factor. Every round's ring has the representation of
+    R/prime^k, so g, h, s and t are mapped into it once, here.
     """
     field = base.residue_field
     d, sbar, tbar = ffpoly.egcd(field, gbar, hbar)
     if d != (field.one,):
         raise InternalInvariantError("branch reductions are not coprime")
-    g, h, s, t = (rings.lift_residue_poly(u, base) for u in (gbar, hbar, sbar, tbar))
+    top = base.ring.truncated(k)
+    g, h, s, t = (_image(rings.lift_residue_poly(u, base), top) for u in (gbar, hbar, sbar, tbar))
     m = 1
     while m < k:
         m = min(2 * m, k)
-        R = base.ring.truncated(m)
+        R = base.ring.truncated(m, k)
         f = _image(fk, R)
         e = ffpoly.sub(R, f, ffpoly.mul(R, g, h))
         h = ffpoly.add(R, h, ffpoly.rem(R, ffpoly.mul(R, s, e), h))
@@ -132,7 +134,8 @@ def hensel_lift(f, rf, base, k):
         prod = ffpoly.mul(R, prod, F)
     if prod != fk:
         raise InternalInvariantError("lifted branches do not multiply back to f")
-    return LiftedFactorization(precision=k, factors=tuple(factors), rf=rf)
+    factors = tuple(tuple(map(R.to_ring, F)) for F in factors)
+    return LiftedFactorization(precision=k, factors=factors, rf=rf)
 
 
 def cross_resultant_check(lifted, base):

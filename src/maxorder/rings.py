@@ -13,13 +13,22 @@ elements, constant term first; the zero polynomial is the empty tuple
 and its degree is the MINUS_INF sentinel. Their arithmetic is ``ffpoly``'s,
 with the ring passed as the coefficient domain. Valuations of zero are
 the INF sentinel.
+
+The quotients R/prime^m that Hensel lifting and Newton's method compute
+in, from ``truncated(m)``, have their own elements: ints 0 <= a < p^m
+for Z, and trimmed tuples of t-degree below m deg pi for F_q[t], except
+at pi = t over a prime field F_p with m (p - 1)^2 < 256, where an element
+is one int with byte j the coefficient of t^j (``PackedTruncatedRing``).
+``mod`` maps into a quotient and ``to_ring`` maps back.
 """
 
+import functools
 import math
+from itertools import count
 
 from . import ffpoly
 from .errors import InputError
-from .fields import PrimeField, extension_field, is_prime, quotient_field
+from .fields import PrimeField, extension_field, irreducibles, is_prime, quotient_field
 from .ffpoly import MINUS_INF
 
 INF = math.inf
@@ -38,6 +47,7 @@ class IntegerRing:
         self.one = 1
         self.prime_element = p
         self.residue_field = PrimeField(p)
+        self._truncated = {}
 
     def add(self, a, b):
         return a + b
@@ -73,8 +83,12 @@ class IntegerRing:
             v += 1
         return v
 
-    def truncated(self, m):
-        return IntegersModPrimePow(self.p ** m)
+    def truncated(self, m, top=None):
+        """Z/p^m, built once per m; ``top``, as in ``FunctionRing.truncated``, changes nothing."""
+        R = self._truncated.get(m)
+        if R is None:
+            R = self._truncated[m] = IntegersModPrimePow(self.p ** m)
+        return R
 
     def reduce(self, a):
         return a % self.p
@@ -108,6 +122,10 @@ class FunctionRing:
         self.zero = ()
         self.one = (field.one,)
         self.prime_element = pi
+        # the least m with m (p - 1)^2 >= 256, where packed products would carry; 0 never packs
+        packs = self._pi_is_t and isinstance(field, PrimeField)
+        self._pack_bound = -(-256 // (field.p - 1) ** 2) if packs else 0
+        self._truncated = {}
         if d == 1:
             self.residue_field = field
             self._pi_root = field.neg(pi[0])
@@ -154,8 +172,21 @@ class FunctionRing:
             a = q
             v += 1
 
-    def truncated(self, m):
-        return TruncatedFunctionRing(self, m)
+    def truncated(self, m, top=None):
+        """F_q[t]/pi^m, built once per m and representation.
+
+        Packed when pi = t, q = p and m (p - 1)^2 < 256, and on tuples
+        otherwise. With ``top`` >= m the choice is made for precision
+        top instead, so that a computation that doubles m up to top
+        keeps one representation and carries its elements from one
+        precision to the next unchanged.
+        """
+        packed = (m if top is None else top) < self._pack_bound
+        R = self._truncated.get((m, packed))
+        if R is None:
+            R = PackedTruncatedRing(self.p, m) if packed else TruncatedFunctionRing(self, m)
+            self._truncated[m, packed] = R
+        return R
 
     def reduce(self, a):
         if self.pi_degree == 1:
@@ -194,6 +225,9 @@ class IntegersModPrimePow:
     def mod(self, a):
         return a % self.modulus
 
+    def to_ring(self, a):
+        return a
+
 
 class TruncatedFunctionRing:
     """F_q[t]/pi^m on the representatives of t-degree below m * deg pi.
@@ -227,6 +261,63 @@ class TruncatedFunctionRing:
             return ffpoly.rem(self.field, a, self.modulus)
         return ffpoly.trim(self.field, a[: self.length])
 
+    def to_ring(self, a):
+        return a
+
+
+@functools.cache
+def _mod_table(p):
+    """The bytes.translate table that takes each byte value b to b mod p."""
+    return bytes(b % p for b in range(256))
+
+
+class PackedTruncatedRing:
+    """F_p[t]/t^m with an element packed into one int, byte j the coefficient of t^j.
+
+    Needs m (p - 1)^2 < 256. Then a sum, a difference (a + p * ONES - b,
+    with ONES the int of m bytes 1) or a product, cut to m bytes, of
+    reduced elements is one int operation that leaves every byte below
+    256: byte j of a product is a sum of at most m products of two
+    coefficients below p. So no byte carries into the next, and one pass
+    of the bytes through a table reduces each of them mod p; for p = 2,
+    one AND with ONES does.
+    """
+
+    def __init__(self, p, m):
+        self.length = m
+        self.zero = 0
+        self.one = 1
+        self._table = _mod_table(p)
+        self._mask = (1 << 8 * m) - 1
+        ones = self._mask // 255
+        self._p_ones = p * ones
+        if p == 2:  # a byte below 256 is its lowest bit mod 2
+            self._reduce = ones.__and__
+
+    def _reduce(self, x):
+        return int.from_bytes(x.to_bytes(self.length, "little").translate(self._table), "little")
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    def sub(self, a, b):
+        return self._reduce(a + self._p_ones - b)
+
+    def neg(self, a):
+        return self._reduce(self._p_ones - a)
+
+    def mul(self, a, b):
+        return self._reduce(a * b & self._mask)
+
+    def mod(self, a):
+        """The image of a ring element, or of an element packed at a higher precision."""
+        if isinstance(a, int):
+            return a & self._mask
+        return int.from_bytes(bytes(a[: self.length]), "little")
+
+    def to_ring(self, a):
+        return tuple(a.to_bytes(self.length, "little").rstrip(b"\0"))
+
 
 class ValuedBase:
     """A ground field with one fixed discrete rank-one place.
@@ -250,6 +341,7 @@ class ValuedBase:
             self.coefficient_field = field = ring.field
             self.p = self.char = field.p
             self.e = 1 if isinstance(field, PrimeField) else field.dim
+        self._places = None
 
     @classmethod
     def rational(cls, p):
@@ -263,6 +355,28 @@ class ValuedBase:
         trimmed tuple of field elements.
         """
         return cls(FunctionRing(extension_field(p, e), pi_coeffs))
+
+    def places(self):
+        """Every place of the base's global field, in one fixed order.
+
+        Over Q these are the primes; over F_q(t) the monic irreducibles
+        of F_q[t] by degree, then in the order of ``fields.irreducibles``.
+        Each place is built once per base, and later calls reuse it.
+        """
+        if self._places is None:
+            if self.kind == "Q":
+                fresh = (ValuedBase.rational(ell) for ell in count(2) if is_prime(ell))
+            else:
+                field = self.coefficient_field
+                fresh = (
+                    ValuedBase(FunctionRing(field, pi)) for d in count(1) for pi in irreducibles(field, d)
+                )
+            self._places = ([], fresh)
+        built, fresh = self._places
+        for i in count():
+            if i == len(built):
+                built.append(next(fresh))
+            yield built[i]
 
     def describe(self):
         if self.kind == "Q":

@@ -1,4 +1,5 @@
 import random
+from itertools import count, islice
 from unittest.mock import patch
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from maxorder import criterion, ffpoly, rings
 from maxorder.cli import main, parse_poly
 from maxorder.criterion import (
+    AUX_PLACES,
     _aux_place,
     _fq_root_candidates,
     _reducibility_witness,
@@ -25,7 +27,7 @@ from maxorder.errors import (
     ReduciblePolynomialError,
     VerdictFalseError,
 )
-from maxorder.fields import extension_field
+from maxorder.fields import extension_field, irreducibles
 from maxorder.residue import residue_factorization
 from maxorder.rings import ValuedBase
 from oracles import fq_root_candidates_unfiltered
@@ -424,6 +426,22 @@ def test_aux_place_certificate_is_sound_and_changes_no_result(case):
     fast = _reducibility_witness(f, base)
     with patch.object(criterion, "_aux_place", lambda g, base: None):
         assert _reducibility_witness(f, base) == fast
+
+
+def test_places_are_built_once_per_base():
+    # g = (x^2 + t)(x^2 + x + 1) is not squarefree at any place of F_2(t): every screen tries four
+    base = _at_t(2, 1)
+    f = parse_poly("(x^2 + t)*(x^2 + x + 1)", base)
+    with patch.object(rings, "FunctionRing", wraps=rings.FunctionRing) as built:
+        first = _reducibility_witness(f, base)
+        assert built.call_count == AUX_PLACES
+        assert _reducibility_witness(f, base) == first
+        assert built.call_count == AUX_PLACES
+    places = list(islice(base.places(), AUX_PLACES + 2))
+    assert all(P is Q for P, Q in zip(places, base.places()))
+    in_order = (pi for d in count(1) for pi in irreducibles(base.ring.field, d))
+    assert [P.ring.pi for P in places] == list(islice(in_order, AUX_PLACES + 2))
+    assert [P.prime for P in islice(B5.places(), 5)] == [2, 3, 5, 7, 11]
 
 
 def _discriminant_calls(f, base, monkeypatch):

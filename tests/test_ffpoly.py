@@ -139,6 +139,20 @@ def test_factor_matches_exhaustive_oracle():
             assert prod == f
 
 
+FACTOR_FIELDS = [PrimeField(2), PrimeField(3), extension_field(2, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factor_matches_exhaustive_oracle_property(data):
+    field = data.draw(st.sampled_from(FACTOR_FIELDS))
+    digits = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=6))
+    f = tuple(field.element(i) for i in digits) + (field.one,)
+    assert Counter(dict(ffpoly.factor_monic(field, f, seed=data.draw(st.integers(0, 99))))) == (
+        factor_exhaustive(field, f)
+    )
+
+
 def test_factor_seed_independent_and_ordered():
     field = PrimeField(5)
     rng = random.Random(9)

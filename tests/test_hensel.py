@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxorder import ffpoly, hensel
+from maxorder.cli import main
 from maxorder.criterion import dedekind_verdict
 from maxorder.errors import (
     InputError,
@@ -25,7 +26,7 @@ from maxorder.hensel import (
 )
 from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
-from maxorder.rings import ValuedBase, lift_residue_poly, reduce_mod
+from maxorder.rings import PackedTruncatedRing, ValuedBase, lift_residue_poly, reduce_mod
 
 from oracles import hensel_lift_oracle
 
@@ -324,3 +325,34 @@ def test_lift_matches_exact_ring_oracle(data):
     lifted = hensel_lift(f, rf, base, k)
     assert lifted.factors == hensel_lift_oracle(f, rf, base, k)
     assert cross_resultant_check(lifted, base)
+
+
+BT5 = ValuedBase.function_field(5, 1, (0, 1))
+
+
+@pytest.mark.parametrize("k, packed", [(15, True), (16, False)])
+def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
+    # F_5[t]/t^k packs its elements into ints while 16 k < 256
+    assert isinstance(BT5.ring.truncated(k), PackedTruncatedRing) == packed
+    rng = random.Random(44)
+    field = BT5.ring.field
+    lifted_any = 0
+    for _ in range(12):
+        f = tuple(
+            ffpoly.trim(field, [rng.randrange(5) for _ in range(rng.randint(0, 3))])
+            for _ in range(rng.randint(2, 6))
+        ) + (BT5.ring.one,)
+        rf = residue_factorization(f, BT5)
+        lifted = hensel_lift(f, rf, BT5, k)
+        assert lifted.factors == hensel_lift_oracle(f, rf, BT5, k)
+        assert cross_resultant_check(lifted, BT5)
+        lifted_any += len(rf.factors) > 1
+    assert lifted_any >= 6
+
+
+def test_verify_at_the_precision_cap_over_f2(capsys):
+    # two branches, x^2 and x + 1, lifted to t^1024 on tuples past the packing bound
+    argv = ["verify", "--base", "Fq", "--p", "2", "--pi", "t", "--poly", "x^3 + x^2 + t"]
+    assert main(argv + ["--precision", "1024"]) == 0
+    out = capsys.readouterr().out
+    assert "precision: 1024\n" in out and "verify: all identities hold\n" in out

@@ -10,6 +10,8 @@ from maxorder import ffpoly
 from maxorder.cli import parse_poly
 from maxorder.errors import InputError
 from maxorder.rings import (
+    PackedTruncatedRing,
+    TruncatedFunctionRing,
     ValuedBase,
     discriminant,
     element_to_text,
@@ -28,6 +30,7 @@ B3 = ValuedBase.rational(3)
 B11 = ValuedBase.rational(11)
 BT2 = ValuedBase.function_field(2, 1, (0, 1))
 BT3 = ValuedBase.function_field(3, 1, (0, 1))
+BT5 = ValuedBase.function_field(5, 1, (0, 1))
 
 
 def rand_int_poly(rng, max_deg, bound=50, monic=False):
@@ -242,6 +245,80 @@ def test_text_parse_roundtrip():
                 f = rand_fq_poly(rng, base, 6)
             text = poly_to_text(f, base)
             assert parse_poly(text, base) == f
+
+
+def _poly_over(draw, ring, max_deg=5):
+    n = draw(st.integers(0, max_deg)) + 1
+    return ffpoly.trim(ring, [_ring_element(draw, ring) for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_text_parse_roundtrip_property(data):
+    base = data.draw(st.sampled_from([B2, B11, BT2, BT3, BT5, _b9(), _b4()]))
+    f = _poly_over(data.draw, base.ring)
+    assert parse_poly(poly_to_text(f, base), base) == f
+
+
+def _b4():
+    from maxorder.fields import extension_field
+
+    k = extension_field(2, 2)
+    return ValuedBase.function_field(2, 2, (k.zero, k.one))
+
+
+# packed F_p[t]/t^m against the tuple ring
+PACK_BOUND = {2: 256, 3: 64, 5: 16}  # the least m with m (p - 1)^2 >= 256
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_ring_agrees_with_tuple_ring(data):
+    base = data.draw(st.sampled_from([BT2, BT3, BT5]))
+    ring, p = base.ring, base.p
+    m = data.draw(st.integers(1, PACK_BOUND[p] + 2))
+    R, T = ring.truncated(m), TruncatedFunctionRing(ring, m)
+    assert isinstance(R, PackedTruncatedRing) == (m < PACK_BOUND[p])
+
+    def element(max_len):
+        return ffpoly.trim(ring.field, data.draw(st.lists(st.integers(0, p - 1), max_size=max_len)))
+
+    a, b = element(m + 3), element(m + 3)  # longer than m, so mod cuts them
+    ra, rb, ta, tb = R.mod(a), R.mod(b), T.mod(a), T.mod(b)
+    assert R.to_ring(ra) == ta and R.to_ring(R.zero) == () and R.to_ring(R.one) == (1,)
+    assert R.to_ring(R.add(ra, rb)) == T.add(ta, tb)
+    assert R.to_ring(R.sub(ra, rb)) == T.sub(ta, tb)
+    assert R.to_ring(R.neg(ra)) == T.neg(ta)
+    assert R.to_ring(R.mul(ra, rb)) == T.mul(ta, tb)
+    # mod also takes an element of a higher precision, in whichever representation it has
+    H = ring.truncated(m + data.draw(st.integers(0, 4)))
+    assert R.to_ring(R.mod(H.mod(a))) == ta
+    # a lift that doubles m up to top keeps the representation of top
+    top = data.draw(st.integers(m, PACK_BOUND[p] + 2))
+    assert isinstance(ring.truncated(m, top), PackedTruncatedRing) == (top < PACK_BOUND[p])
+    assert ring.truncated(m, top).to_ring(ring.truncated(m, top).mod(a)) == ta
+
+
+def test_truncated_rings_fall_back_at_the_bound():
+    for base, bound in ((BT2, 256), (BT3, 64), (BT5, 16), (ValuedBase.function_field(7, 1, (0, 1)), 8)):
+        assert isinstance(base.ring.truncated(bound - 1), PackedTruncatedRing)
+        assert isinstance(base.ring.truncated(bound), TruncatedFunctionRing)
+    # only pi = t over a prime field packs
+    others = (_b4(), ValuedBase.function_field(2, 1, (1, 1)), ValuedBase.function_field(2, 1, (1, 1, 1)))
+    for base in others:
+        assert type(base.ring.truncated(2)) is TruncatedFunctionRing
+    # built once per ring and precision
+    assert BT3.ring.truncated(5) is BT3.ring.truncated(5)
+    assert B3.ring.truncated(5) is B3.ring.truncated(5, 9)
+
+
+def test_to_ring_is_the_identity_outside_the_packed_ring():
+    assert B3.ring.truncated(4).to_ring(80) == 80
+    R = ValuedBase.function_field(3, 1, (1, 0, 1)).ring.truncated(3)  # pi = t^2 + 1
+    a = R.mod((1, 2, 0, 0, 0, 0, 1))
+    assert R.to_ring(a) == a
+    T = BT3.ring.truncated(70)
+    assert T.to_ring(T.mod((1, 2))) == (1, 2)
 
 
 def test_sigma_is_one():
