@@ -270,23 +270,35 @@ def require_no_reducibility_witness(f, base):
 def classical_check(f, base, rf):
     """gcd formulation: with g* = prod of lifts and h* a lift of
     prod phibar_i^(l_i - 1), write g* h* - f = prime * T; the order is
-    integrally closed iff gcd(T_bar, g*_bar, h*_bar) = 1."""
+    integrally closed iff gcd(T_bar, g*_bar, h*_bar) = 1.
+
+    Only T_bar = T mod prime enters, and it depends only on g* h* - f
+    modulo prime^2. So the products are taken in R/prime^2
+    (``truncated(2)``) where that ring packs a whole polynomial into one
+    int, and each product is one int product. On the other
+    representations, Z/p^2 and tuples over F_q[t], reducing every
+    coefficient costs more than it saves on the small canonical lifts,
+    and the products stay exact in R.
+    """
     ring = base.ring
     field = base.residue_field
-    gstar = (ring.one,)
+    R = ring.truncated(2, length=len(f))
+    if not R.packs_polynomials:
+        R = ring
+    gstar = R.poly_one
     for phi in rf.lifts:
-        gstar = ffpoly.mul(ring, gstar, phi)
+        gstar = R.poly_mul(gstar, R.poly_mod(phi))
     hbar = (field.one,)
     for phibar, l in rf.factors:
         hbar = ffpoly.mul(field, hbar, ffpoly.pow_(field, phibar, l - 1))
-    hstar = rings.lift_residue_poly(hbar, base)
-    diff = ffpoly.sub(ring, ffpoly.mul(ring, gstar, hstar), f)
+    hstar = R.poly_mod(rings.lift_residue_poly(hbar, base))
+    diff = R.poly_to_ring(R.poly_sub(R.poly_mul(gstar, hstar), R.poly_mod(f)))
     if diff and gauss_valuation(diff, base) < 1:
         raise InternalInvariantError(
             "g* h* does not reduce to the residue factorization"
         )
     cofactor = tuple(ring.exact_div(c, base.prime_element) for c in diff)
-    g1 = ffpoly.gcd(field, reduce_mod(cofactor, base), reduce_mod(gstar, base))
+    g1 = ffpoly.gcd(field, reduce_mod(cofactor, base), reduce_mod(R.poly_to_ring(gstar), base))
     return ffpoly.gcd(field, g1, hbar) == (field.one,)
 
 

@@ -3,10 +3,16 @@
 The reduction f_bar = prod phibar_i^(l_i) is a coprime factorization
 into the branch reductions phibar_i^(l_i), so it lifts to a branch
 factorization f = prod F_i modulo any power of the prime, computed in
-R/prime^k and checked branch by branch in the residue field. Quantities
-read off a branch F_i, such as the valuation of a resultant against the
-lift phi_i, are exact whenever they come out strictly below the working
-precision; otherwise the precision is doubled and the lift rerun.
+R/prime^k and checked branch by branch in the residue field. The lift
+uses only the polynomial ops of ``truncated(m, k, len f)``: ``ffpoly``
+on tuples over Z/p^m and over most F_q[t]/pi^m, and one int per
+polynomial at pi = t over a small prime field, where a product is one
+int product and one reduction pass (``rings.PackedPolynomialRing``).
+
+Quantities read off a branch F_i, such as the valuation of a resultant
+against the lift phi_i, are exact whenever they come out strictly below
+the working precision; otherwise the precision is doubled and the lift
+rerun.
 
 On the affirmative verdict the branches are irreducible over the
 henselization, every root alpha_i of F_i satisfies
@@ -26,7 +32,7 @@ from .errors import (
     PrecisionExhaustedError,
     VerdictFalseError,
 )
-from .rings import poly_divmod_monic, reduce_mod, resultant
+from .rings import reduce_mod, resultant
 
 PRECISION_CAP = 1024
 
@@ -62,16 +68,12 @@ class VerificationReport:
     passed: bool
 
 
-def _image(P, ring):
-    """P's coefficients as representatives of the truncated ``ring``."""
-    return ffpoly.trim(ring, [ring.mod(c) for c in P])
-
-
-def _lift_pair(fk, gbar, hbar, base, k):
+def _lift_pair(fk, gbar, hbar, base, k, length):
     """Factor fk = g*h modulo prime^k from the coprime pair (gbar, hbar).
 
     Quadratic iteration; each round doubles the precision m, up to k,
-    and computes in R/prime^m only. Both factors stay monic, the h-update
+    and computes in R/prime^m only, with the polynomial ops of
+    ``truncated(m, k, length)``. Both factors stay monic, the h-update
     follows the classical correction by the remainder of s*e, and g is
     recovered as the exact quotient of f by the monic h, which pins its
     degree and leading coefficient. The Bezout pair is updated after
@@ -83,29 +85,28 @@ def _lift_pair(fk, gbar, hbar, base, k):
     d, sbar, tbar = ffpoly.egcd(field, gbar, hbar)
     if d != (field.one,):
         raise InternalInvariantError("branch reductions are not coprime")
-    top = base.ring.truncated(k)
-    g, h, s, t = (_image(rings.lift_residue_poly(u, base), top) for u in (gbar, hbar, sbar, tbar))
+    top = base.ring.truncated(k, length=length)
+    g, h, s, t = (top.poly_mod(rings.lift_residue_poly(u, base)) for u in (gbar, hbar, sbar, tbar))
     m = 1
     while m < k:
         m = min(2 * m, k)
-        R = base.ring.truncated(m, k)
-        f = _image(fk, R)
-        e = ffpoly.sub(R, f, ffpoly.mul(R, g, h))
-        h = ffpoly.add(R, h, ffpoly.rem(R, ffpoly.mul(R, s, e), h))
-        g, rem = poly_divmod_monic(f, h, R)
+        R = base.ring.truncated(m, k, length)
+        f = R.poly_mod(fk)
+        e = R.poly_sub(f, R.poly_mul(g, h))
+        h = R.poly_add(h, R.poly_divmod(R.poly_mul(s, e), h)[1])
+        g, rem = R.poly_divmod(f, h)
         if rem:
             raise InternalInvariantError("corrected factor does not divide at precision")
         if m == k:
             break
-        sg_th = ffpoly.add(R, ffpoly.mul(R, s, g), ffpoly.mul(R, t, h))
-        b = ffpoly.sub(R, sg_th, (R.one,))
-        c, dd = poly_divmod_monic(ffpoly.mul(R, s, b), h, R)
-        s = ffpoly.sub(R, s, dd)
-        t = ffpoly.sub(R, ffpoly.sub(R, t, ffpoly.mul(R, t, b)), ffpoly.mul(R, c, g))
+        b = R.poly_sub(R.poly_add(R.poly_mul(s, g), R.poly_mul(t, h)), R.poly_one)
+        c, dd = R.poly_divmod(R.poly_mul(s, b), h)
+        s = R.poly_sub(s, dd)
+        t = R.poly_sub(R.poly_sub(t, R.poly_mul(t, b)), R.poly_mul(c, g))
     return g, h
 
 
-def _lift_tree(fk, bars, base, k):
+def _lift_tree(fk, bars, base, k, length):
     if len(bars) == 1:
         return [fk]
     mid = len(bars) // 2
@@ -116,8 +117,8 @@ def _lift_tree(fk, bars, base, k):
     hbar = (field.one,)
     for u in bars[mid:]:
         hbar = ffpoly.mul(field, hbar, u)
-    g, h = _lift_pair(fk, gbar, hbar, base, k)
-    return _lift_tree(g, bars[:mid], base, k) + _lift_tree(h, bars[mid:], base, k)
+    g, h = _lift_pair(fk, gbar, hbar, base, k, length)
+    return _lift_tree(g, bars[:mid], base, k, length) + _lift_tree(h, bars[mid:], base, k, length)
 
 
 def hensel_lift(f, rf, base, k):
@@ -125,17 +126,16 @@ def hensel_lift(f, rf, base, k):
     if k < 1:
         raise InputError("precision must be at least 1")
     field = base.residue_field
-    R = base.ring.truncated(k)
-    fk = _image(f, R)
+    R = base.ring.truncated(k, length=len(f))
+    fk = R.poly_mod(f)
     bars = [ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors]
-    factors = _lift_tree(fk, bars, base, k)
-    prod = (R.one,)
+    factors = _lift_tree(fk, bars, base, k, len(f))
+    prod = R.poly_one
     for F in factors:
-        prod = ffpoly.mul(R, prod, F)
+        prod = R.poly_mul(prod, F)
     if prod != fk:
         raise InternalInvariantError("lifted branches do not multiply back to f")
-    factors = tuple(tuple(map(R.to_ring, F)) for F in factors)
-    return LiftedFactorization(precision=k, factors=factors, rf=rf)
+    return LiftedFactorization(precision=k, factors=tuple(map(R.poly_to_ring, factors)), rf=rf)
 
 
 def cross_resultant_check(lifted, base):

@@ -14,12 +14,20 @@ and its degree is the MINUS_INF sentinel. Their arithmetic is ``ffpoly``'s,
 with the ring passed as the coefficient domain. Valuations of zero are
 the INF sentinel.
 
-The quotients R/prime^m that Hensel lifting and Newton's method compute
-in, from ``truncated(m)``, have their own elements: ints 0 <= a < p^m
-for Z, and trimmed tuples of t-degree below m deg pi for F_q[t], except
-at pi = t over a prime field F_p with m (p - 1)^2 < 256, where an element
-is one int with byte j the coefficient of t^j (``PackedTruncatedRing``).
-``mod`` maps into a quotient and ``to_ring`` maps back.
+The quotients R/prime^m that Hensel lifting, Newton's method and the
+classical check compute in, from ``truncated(m)``, have their own
+elements: ints 0 <= a < p^m for Z, and trimmed tuples of t-degree below
+m deg pi for F_q[t], except at pi = t over a prime field F_p with
+m (p - 1)^2 < 256, where an element is one int with byte j the
+coefficient of t^j (``PackedTruncatedRing``). ``mod`` maps into a
+quotient and ``to_ring`` maps back. Each quotient, and each global
+ring, also supplies the polynomial ops in x that those computations use
+(``poly_mul``, ``poly_divmod`` by a monic divisor, ``poly_mod``,
+``poly_to_ring``, ...). They are ``ffpoly``'s on tuples of elements,
+except over ``PackedPolynomialRing``, asked for with
+``truncated(m, top, length)``, where a polynomial is not a tuple but
+one int: slot i holds the x^i coefficient, and a sum, a difference or a
+product is one int operation and one reduction pass.
 """
 
 import functools
@@ -34,7 +42,51 @@ from .ffpoly import MINUS_INF
 INF = math.inf
 
 
-class IntegerRing:
+class _PolyOps:
+    """Polynomials in x over a ring, as ``ffpoly`` tuples of its elements.
+
+    Every quotient R/prime^m supplies these ops, which is what lets the
+    Hensel lift run one loop body over each representation; a ring that
+    packs whole polynomials (``PackedPolynomialRing``) overrides them.
+    """
+
+    packs_polynomials = False
+
+    @property
+    def poly_one(self):
+        return (self.one,)
+
+    def poly_mod(self, P):
+        """The image of a polynomial over R, or over this ring at a higher precision."""
+        return ffpoly.trim(self, [self.mod(c) for c in P])
+
+    def poly_to_ring(self, P):
+        return tuple(map(self.to_ring, P))
+
+    def poly_add(self, a, b):
+        return ffpoly.add(self, a, b)
+
+    def poly_sub(self, a, b):
+        return ffpoly.sub(self, a, b)
+
+    def poly_mul(self, a, b):
+        return ffpoly.mul(self, a, b)
+
+    def poly_divmod(self, a, h):
+        """Quotient and remainder by a monic h."""
+        return ffpoly.divmod_(self, a, h)
+
+
+class _ExactRing(_PolyOps):
+    """A global ring R supplies the same ops, on exact coefficients."""
+
+    def poly_mod(self, P):
+        return P
+
+    poly_to_ring = poly_mod
+
+
+class IntegerRing(_ExactRing):
     """Z carrying the p-adic valuation data."""
 
     kind = "Q"
@@ -83,8 +135,8 @@ class IntegerRing:
             v += 1
         return v
 
-    def truncated(self, m, top=None):
-        """Z/p^m, built once per m; ``top``, as in ``FunctionRing.truncated``, changes nothing."""
+    def truncated(self, m, top=None, length=None):
+        """Z/p^m, built once per m; ``top`` and ``length`` (see ``FunctionRing.truncated``) change nothing."""
         R = self._truncated.get(m)
         if R is None:
             R = self._truncated[m] = IntegersModPrimePow(self.p ** m)
@@ -100,7 +152,7 @@ class IntegerRing:
         return n
 
 
-class FunctionRing:
+class FunctionRing(_ExactRing):
     """F_q[t] carrying the pi-adic valuation data."""
 
     kind = "Fq"
@@ -122,9 +174,7 @@ class FunctionRing:
         self.zero = ()
         self.one = (field.one,)
         self.prime_element = pi
-        # the least m with m (p - 1)^2 >= 256, where packed products would carry; 0 never packs
-        packs = self._pi_is_t and isinstance(field, PrimeField)
-        self._pack_bound = -(-256 // (field.p - 1) ** 2) if packs else 0
+        self._packs = self._pi_is_t and isinstance(field, PrimeField)
         self._truncated = {}
         if d == 1:
             self.residue_field = field
@@ -172,20 +222,33 @@ class FunctionRing:
             a = q
             v += 1
 
-    def truncated(self, m, top=None):
+    def truncated(self, m, top=None, length=None):
         """F_q[t]/pi^m, built once per m and representation.
 
-        Packed when pi = t, q = p and m (p - 1)^2 < 256, and on tuples
-        otherwise. With ``top`` >= m the choice is made for precision
-        top instead, so that a computation that doubles m up to top
-        keeps one representation and carries its elements from one
+        At pi = t over a prime field F_p, an element is packed into one
+        int when m (p - 1)^2 < 256, and with ``length`` a whole polynomial
+        in x of at most that many coefficients is, when
+        length m (p - 1)^2 + p - 1 < 256; elements and polynomials are
+        tuples otherwise. With ``top`` >= m the choice is made for
+        precision top instead, so that a computation that doubles m up to
+        top keeps one representation and carries its values from one
         precision to the next unchanged.
         """
-        packed = (m if top is None else top) < self._pack_bound
-        R = self._truncated.get((m, packed))
+        top = m if top is None else top
+        square = (self.p - 1) ** 2
+        if self._packs and length is not None and length * top * square + self.p - 1 < 256:
+            key = (m, top, length)
+        else:
+            key = (m, self._packs and top * square < 256)
+        R = self._truncated.get(key)
         if R is None:
-            R = PackedTruncatedRing(self.p, m) if packed else TruncatedFunctionRing(self, m)
-            self._truncated[m, packed] = R
+            if len(key) == 3:
+                R = PackedPolynomialRing(self.p, m, top, length)
+            elif key[1]:
+                R = PackedTruncatedRing(self.p, m)
+            else:
+                R = TruncatedFunctionRing(self, m)
+            self._truncated[key] = R
         return R
 
     def reduce(self, a):
@@ -202,7 +265,7 @@ class FunctionRing:
         return ffpoly.constant(self.field, self.field.from_int(n))
 
 
-class IntegersModPrimePow:
+class IntegersModPrimePow(_PolyOps):
     """Z/p^m on the representatives 0 <= a < p^m, as ``ffpoly`` needs it."""
 
     def __init__(self, modulus):
@@ -229,7 +292,7 @@ class IntegersModPrimePow:
         return a
 
 
-class TruncatedFunctionRing:
+class TruncatedFunctionRing(_PolyOps):
     """F_q[t]/pi^m on the representatives of t-degree below m * deg pi.
 
     A product keeps only its terms below t^m at pi = t, and is reduced by
@@ -271,7 +334,7 @@ def _mod_table(p):
     return bytes(b % p for b in range(256))
 
 
-class PackedTruncatedRing:
+class PackedTruncatedRing(_PolyOps):
     """F_p[t]/t^m with an element packed into one int, byte j the coefficient of t^j.
 
     Needs m (p - 1)^2 < 256. Then a sum, a difference (a + p * ONES - b,
@@ -317,6 +380,81 @@ class PackedTruncatedRing:
 
     def to_ring(self, a):
         return tuple(a.to_bytes(self.length, "little").rstrip(b"\0"))
+
+
+class PackedPolynomialRing(PackedTruncatedRing):
+    """F_p[t]/t^m with a whole polynomial in x over it packed into one int.
+
+    Slot i, the S = 2 top - 1 bytes from byte i S on, holds the x^i
+    coefficient as ``PackedTruncatedRing`` packs an element, so a constant
+    is its element and the element ops still apply. The stride is set by
+    the precision ``top`` that a lift doubles m up to, so a polynomial
+    keeps its ints from one round to the next.
+
+    Needs length m (p - 1)^2 + p - 1 < 256, for polynomials of at most
+    ``length`` coefficients. Then the product of two of them is one int
+    product whose bytes stay below 256: byte j of slot i sums at most
+    length products of two elements, each byte of those at most
+    m (p - 1)^2, and a t-product of 2m - 1 bytes fits its slot. So no
+    byte carries into the next; a mask cuts each slot to m bytes and one
+    pass of the bytes through the mod-p table reduces the whole
+    polynomial. Division by a monic h takes, per quotient coefficient c,
+    one product c * (-h) added to the reduced remainder, whose bytes stay
+    below m (p - 1)^2 + p - 1, and one reduction.
+    """
+
+    packs_polynomials = True
+    poly_one = 1
+
+    def __init__(self, p, m, top, length):
+        super().__init__(p, m)
+        self._stride = 2 * top - 1
+        self._width = width = 8 * self._stride  # in bits
+        step = 1 << width
+        slots = (step ** (2 * length) - 1) // (step - 1)  # a 1 at the start of each of 2 length slots
+        self._slot_mask = self._mask * slots
+        self._p_bytes = p * (step ** (2 * length) - 1) // 255
+        if p == 2:
+            self._poly_reduce = (self._slot_mask // 255).__and__
+
+    def _poly_reduce(self, x):
+        n = (x.bit_length() + 7) >> 3
+        return int.from_bytes(x.to_bytes(n, "little").translate(self._table), "little")
+
+    def poly_mod(self, P):
+        if isinstance(P, int):
+            return P & self._slot_mask
+        m, stride = self.length, self._stride
+        return int.from_bytes(b"".join([bytes(c[:m]).ljust(stride, b"\0") for c in P]), "little")
+
+    def poly_to_ring(self, P):
+        m, stride = self.length, self._stride
+        n = -(-P.bit_length() // self._width) * stride
+        b = P.to_bytes(n, "little")
+        return tuple(tuple(b[i : i + m].rstrip(b"\0")) for i in range(0, n, stride))
+
+    def poly_add(self, a, b):
+        return self._poly_reduce(a + b)
+
+    def poly_sub(self, a, b):
+        # p in every byte up to b's top byte keeps every byte of the difference positive
+        return self._poly_reduce(a + (self._p_bytes & (1 << ((b.bit_length() + 7) & -8)) - 1) - b)
+
+    def poly_mul(self, a, b):
+        return self._poly_reduce(a * b & self._slot_mask)
+
+    def poly_divmod(self, a, h):
+        width = self._width
+        d = (h.bit_length() - 1) // width
+        n = (a.bit_length() - 1) // width
+        negh = self.poly_sub(0, h)
+        q = 0
+        for i in range(n - d, -1, -1):  # slot i + d is a's top slot here
+            c = a >> width * (i + d)
+            if c:
+                q |= c << width * i
+                a = self._poly_reduce(a + (c * negh << width * i) & self._slot_mask)
+        return q, a
 
 
 class ValuedBase:

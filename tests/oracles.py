@@ -5,14 +5,15 @@ method: resultants from Sylvester matrices by fraction-free elimination,
 determinants a second time with exact fractions, residue factorizations
 by exhaustive trial division, valuations by direct counting, the
 reducibility screen's candidate roots over F_q(t) by trying every unit,
-and Hensel lifts computed in the exact ring and truncated after each
-step. None of it imports engine internals beyond the public arithmetic
-it validates.
+Hensel lifts computed in the exact ring and truncated after each
+step, and the classical gcd check on exact products. None of it imports
+engine internals beyond the public arithmetic it validates.
 """
 
 from fractions import Fraction
 
 from maxorder import ffpoly, rings
+from maxorder.errors import InternalInvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +267,27 @@ def hensel_lift_oracle(f, rf, base, k):
         return tree(g, bars[:mid]) + tree(h, bars[mid:])
 
     return tuple(tree(_poly_mod(f, base, k), bars))
+
+
+# ---------------------------------------------------------------------------
+# the classical gcd check in the exact ring
+
+
+def classical_check_oracle(f, base, rf):
+    """gcd(T_bar, g*_bar, h*_bar) = 1 with g* h* - f = prime * T multiplied
+    out exactly in R, with no truncation."""
+    ring = base.ring
+    field = base.residue_field
+    gstar = (ring.one,)
+    for phi in rf.lifts:
+        gstar = ffpoly.mul(ring, gstar, phi)
+    hbar = (field.one,)
+    for phibar, l in rf.factors:
+        hbar = ffpoly.mul(field, hbar, ffpoly.pow_(field, phibar, l - 1))
+    hstar = rings.lift_residue_poly(hbar, base)
+    diff = ffpoly.sub(ring, ffpoly.mul(ring, gstar, hstar), f)
+    if diff and rings.gauss_valuation(diff, base) < 1:
+        raise InternalInvariantError("g* h* does not reduce to the residue factorization")
+    cofactor = tuple(ring.exact_div(c, base.prime_element) for c in diff)
+    g1 = ffpoly.gcd(field, rings.reduce_mod(cofactor, base), rings.reduce_mod(gstar, base))
+    return ffpoly.gcd(field, g1, hbar) == (field.one,)

@@ -23,6 +23,7 @@ from maxorder.criterion import (
 from maxorder.errors import (
     DegreeError,
     InputError,
+    InternalInvariantError,
     NonMonicError,
     ReduciblePolynomialError,
     VerdictFalseError,
@@ -30,7 +31,7 @@ from maxorder.errors import (
 from maxorder.fields import extension_field, irreducibles
 from maxorder.residue import residue_factorization
 from maxorder.rings import ValuedBase
-from oracles import fq_root_candidates_unfiltered
+from oracles import classical_check_oracle, fq_root_candidates_unfiltered
 
 B2 = ValuedBase.rational(2)
 B3 = ValuedBase.rational(3)
@@ -296,6 +297,70 @@ def test_lift_invariance_explicit():
     v2 = dedekind_verdict((-5, 0, 1), B2, assume_irreducible=True, lifts=((3, 1),))
     assert not v2.integrally_closed
     assert v2.witnesses[0].valuation == 2
+
+
+_F4 = extension_field(2, 2)
+CLASSICAL_BASES = [
+    B2, B3, B5, BT2, BT3,
+    ValuedBase.function_field(3, 1, (1, 0, 1)),  # F_3(t) at t^2 + 1
+    ValuedBase.function_field(2, 2, (_F4.zero, _F4.one)),  # F_4(t) at t
+]
+
+
+def _small_poly(rng, base, n):
+    """n random coefficients of size at most 9 over Z, of t-degree at most 3 over F_q[t]."""
+    if base.kind == "Q":
+        return tuple(rng.randint(-9, 9) for _ in range(n))
+    field = base.ring.field
+    return tuple(
+        ffpoly.trim(field, [field.element(rng.randrange(field.q)) for _ in range(rng.randint(0, 4))])
+        for _ in range(n)
+    )
+
+
+@pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())
+def test_classical_check_matches_exact_ring_oracle(base, monkeypatch):
+    # f = g^2 h + prime^e r: e = 1 mostly gives affirmative verdicts, e = 2 negative ones
+    def unused(*args):
+        raise AssertionError("the classical check takes no remainder and no resultant")
+
+    monkeypatch.setattr(criterion, "poly_divmod_monic", unused)
+    monkeypatch.setattr(rings, "resultant", unused)
+    rng = random.Random(12)
+    ring = base.ring
+    seen = set()
+    for _ in range(60):
+        g = _small_poly(rng, base, rng.randint(1, 2)) + (ring.one,)
+        h = _small_poly(rng, base, rng.randint(0, 3)) + (ring.one,)
+        gh = ffpoly.mul(ring, ffpoly.mul(ring, g, g), h)
+        pe = ring.elem_pow(base.prime_element, rng.randint(1, 2))
+        r = _small_poly(rng, base, len(gh) - 1)
+        f = ffpoly.add(ring, gh, ffpoly.trim(ring, [ring.mul(c, pe) for c in r]))
+        rf = residue_factorization(f, base)
+        # lifts off the canonical representatives: phi + prime^2 * s, which changes no verdict
+        shift = ring.elem_pow(base.prime_element, 2)
+
+        def moved(phi):
+            s = _small_poly(rng, base, len(phi) - 1)
+            return ffpoly.add(ring, phi, ffpoly.trim(ring, [ring.mul(c, shift) for c in s]))
+
+        lifts = tuple(map(moved, rf.lifts))
+        for rf in (rf, residue_factorization(f, base, lifts=lifts)):
+            got = classical_check(f, base, rf)
+            assert got == classical_check_oracle(f, base, rf)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())
+def test_classical_check_refuses_a_factorization_that_does_not_multiply_back(base):
+    ring = base.ring
+    f = _small_poly(random.Random(13), base, 4) + (ring.one,)
+    rf = residue_factorization(f, base)
+    wrong = ffpoly.add(ring, f, (ring.one,))  # reduces to f_bar + 1
+    for check in (classical_check, classical_check_oracle):
+        with pytest.raises(InternalInvariantError, match="does not reduce"):
+            check(wrong, base, rf)
 
 
 def test_seed_independence():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxorder import ffpoly, hensel
-from maxorder.cli import main
+from maxorder.cli import main, parse_poly
 from maxorder.criterion import dedekind_verdict
 from maxorder.errors import (
     InputError,
@@ -26,7 +26,13 @@ from maxorder.hensel import (
 )
 from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
-from maxorder.rings import PackedTruncatedRing, ValuedBase, lift_residue_poly, reduce_mod
+from maxorder.rings import (
+    PackedPolynomialRing,
+    PackedTruncatedRing,
+    ValuedBase,
+    lift_residue_poly,
+    reduce_mod,
+)
 
 from oracles import hensel_lift_oracle
 
@@ -348,6 +354,38 @@ def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
         assert cross_resultant_check(lifted, BT5)
         lifted_any += len(rf.factors) > 1
     assert lifted_any >= 6
+
+
+DEGREE_12 = "x^3*(x+1)^2*(x^2+1)^2*(x+2)^3 + t"  # over F_3(t) at t, four repeated branches
+
+
+@pytest.mark.parametrize("k, packed", [(4, True), (8, False)])
+def test_degree_12_lift_matches_oracle_on_both_sides_of_the_polynomial_packing_bound(k, packed):
+    # whole polynomials of length 13 pack while 13 k (3 - 1)^2 + 2 < 256
+    ring = BT3.ring
+    assert isinstance(ring.truncated(k, length=13), PackedPolynomialRing) == packed
+    product = parse_poly(DEGREE_12, BT3)
+    rng = random.Random(45)
+    for _ in range(6):
+        r = [ffpoly.trim(ring.field, [rng.randrange(3) for _ in range(rng.randint(0, 3))]) for _ in range(12)]
+        f = ffpoly.add(ring, product, tuple(ffpoly.mul(ring.field, (0, 1), c) for c in r))  # + t r
+        rf = residue_factorization(f, BT3)
+        lifted = hensel_lift(f, rf, BT3, k)
+        assert len(lifted.factors) == 4
+        assert lifted.factors == hensel_lift_oracle(f, rf, BT3, k)
+        assert cross_resultant_check(lifted, BT3)
+
+
+def test_pinned_precisions_on_both_sides_of_the_polynomial_packing_bound(capsys):
+    argv = ["verify", "--base", "Fq", "--p", "3", "--pi", "t", "--poly", DEGREE_12, "--assume-irreducible"]
+    outputs = []
+    for k in (4, 8):
+        assert main(argv + ["--precision", str(k)]) == 0
+        out = capsys.readouterr().out
+        assert f"precision: {k}\n" in out
+        outputs.append(out.replace(f"precision: {k}\n", ""))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(": pass\n") == 4 and "verify: all identities hold\n" in outputs[0]
 
 
 def test_verify_at_the_precision_cap_over_f2(capsys):

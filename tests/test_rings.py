@@ -10,6 +10,7 @@ from maxorder import ffpoly
 from maxorder.cli import parse_poly
 from maxorder.errors import InputError
 from maxorder.rings import (
+    PackedPolynomialRing,
     PackedTruncatedRing,
     TruncatedFunctionRing,
     ValuedBase,
@@ -310,6 +311,76 @@ def test_truncated_rings_fall_back_at_the_bound():
     # built once per ring and precision
     assert BT3.ring.truncated(5) is BT3.ring.truncated(5)
     assert B3.ring.truncated(5) is B3.ring.truncated(5, 9)
+
+
+# whole polynomials packed over F_p[t]/t^m against ffpoly over the tuple ring
+def _poly_pack_bound(p, length):
+    """The least top with length * top * (p - 1)^2 + p - 1 >= 256."""
+    return -(-(257 - p) // (length * (p - 1) ** 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_polynomials_agree_with_ffpoly(data):
+    base = data.draw(st.sampled_from([BT2, BT3, BT5]))
+    ring, p = base.ring, base.p
+    length = data.draw(st.integers(1, 12))
+    bound = _poly_pack_bound(p, length)
+    top = data.draw(st.integers(max(1, bound - 3), bound + 2))  # both sides of the bound
+    m = data.draw(st.integers(1, top))
+    R, T = ring.truncated(m, top, length), TruncatedFunctionRing(ring, m)
+    assert isinstance(R, PackedPolynomialRing) == (top < bound)
+
+    def poly(min_len, max_len):
+        def element():
+            return ffpoly.trim(ring.field, data.draw(st.lists(st.integers(0, p - 1), max_size=top + 2)))
+
+        return ffpoly.trim(ring, [element() for _ in range(data.draw(st.integers(min_len, max_len)))])
+
+    def back(x):
+        # every result is the canonical representative: equal values are equal ints
+        y = R.poly_to_ring(x)
+        assert R.poly_mod(y) == x
+        return y
+
+    a, b = poly(0, length), poly(0, length)
+    h = poly(0, length - 1) + (ring.one,)
+    ra, rb, rh = R.poly_mod(a), R.poly_mod(b), R.poly_mod(h)
+    ta, tb, th = T.poly_mod(a), T.poly_mod(b), T.poly_mod(h)
+    assert back(ra) == ta and back(R.poly_one) == (ring.one,)
+    assert back(R.poly_add(ra, rb)) == ffpoly.add(T, ta, tb)
+    assert back(R.poly_sub(ra, rb)) == ffpoly.sub(T, ta, tb)
+    ab = R.poly_mul(ra, rb)
+    assert back(ab) == ffpoly.mul(T, ta, tb)
+    for dividend in (ra, ab):  # ab has up to 2 length - 1 coefficients
+        q, r = R.poly_divmod(dividend, rh)
+        assert (back(q), back(r)) == ffpoly.divmod_(T, back(dividend), th)
+    # a polynomial at the top precision maps to every lower one of its lift
+    H = ring.truncated(top, length=length)
+    assert back(R.poly_mod(H.poly_mod(a))) == ta
+
+
+def test_packed_polynomials_fall_back_at_the_bound():
+    for base, p in ((BT2, 2), (BT3, 3), (BT5, 5)):
+        for length in (1, 2, 7, 13):
+            bound = _poly_pack_bound(p, length)
+            if bound < 2:
+                assert not isinstance(base.ring.truncated(1, length=length), PackedPolynomialRing)
+                continue
+            square = (p - 1) ** 2
+            assert length * (bound - 1) * square + p - 1 < 256 <= length * bound * square + p - 1
+            assert isinstance(base.ring.truncated(bound - 1, length=length), PackedPolynomialRing)
+            assert not isinstance(base.ring.truncated(bound, length=length), PackedPolynomialRing)
+            # the choice follows top, not m
+            assert isinstance(base.ring.truncated(1, bound - 1, length), PackedPolynomialRing)
+            assert not isinstance(base.ring.truncated(1, bound, length), PackedPolynomialRing)
+    # F_3 at t, degree 12: packed up to precision 4 (13 * 4 * 4 + 2 = 210), not at 5 (262)
+    assert isinstance(BT3.ring.truncated(4, length=13), PackedPolynomialRing)
+    assert not isinstance(BT3.ring.truncated(5, length=13), PackedPolynomialRing)
+    # without a length, and away from pi = t over a prime field, no polynomial is packed
+    for base in (BT3, _b4(), ValuedBase.function_field(3, 1, (1, 0, 1))):
+        assert not isinstance(base.ring.truncated(2), PackedPolynomialRing)
+    assert not isinstance(_b4().ring.truncated(2, length=3), PackedPolynomialRing)
 
 
 def test_to_ring_is_the_identity_outside_the_packed_ring():
