@@ -278,7 +278,10 @@ def classical_check(f, base, rf):
     int, and each product is one int product. On the other
     representations, Z/p^2 and tuples over F_q[t], reducing every
     coefficient costs more than it saves on the small canonical lifts,
-    and the products stay exact in R.
+    and the products stay exact in R. T_bar is read off the
+    representatives of g* h* - f by ``reduce_over_prime``. The gcd with
+    h*_bar comes first: when f_bar is squarefree, h*_bar = 1 and the
+    gcd of degree deg f with g*_bar is never taken.
     """
     ring = base.ring
     field = base.residue_field
@@ -297,9 +300,10 @@ def classical_check(f, base, rf):
         raise InternalInvariantError(
             "g* h* does not reduce to the residue factorization"
         )
-    cofactor = tuple(ring.exact_div(c, base.prime_element) for c in diff)
-    g1 = ffpoly.gcd(field, reduce_mod(cofactor, base), reduce_mod(R.poly_to_ring(gstar), base))
-    return ffpoly.gcd(field, g1, hbar) == (field.one,)
+    tbar = ffpoly.trim(field, [ring.reduce_over_prime(c) for c in diff])
+    one = (field.one,)
+    g1 = ffpoly.gcd(field, hbar, tbar)
+    return g1 == one or ffpoly.gcd(field, g1, reduce_mod(R.poly_to_ring(gstar), base)) == one
 
 
 def dedekind_verdict(f, base, seed=0, *, assume_irreducible=False, lifts=None, _rf=None):

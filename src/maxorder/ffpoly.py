@@ -16,9 +16,19 @@ aware, descending through p-th roots when the derivative vanishes),
 distinct-degree splitting, and seeded equal-degree splitting with the
 additive-trace variant in characteristic 2. Irreducibility testing is
 Rabin's criterion.
+
+Its inner loop is the Frobenius power h^q mod f (distinct-degree
+splitting, Rabin) and h^((q^d - 1)/2) mod f (equal-degree splitting in
+odd characteristic), both ``pow_mod``. Over a prime field ``pow_mod``
+keeps the base and the modulus packed into one int each, by Kronecker
+substitution, for the whole power: a square is one int product, the
+division by the modulus is lazy, and the slots are wide enough that none
+carries into the next for any p, as its docstring shows.
 """
 
 import random
+
+from . import fields  # fields imports this module too, and uses it only at call time
 
 MINUS_INF = float("-inf")
 
@@ -175,6 +185,28 @@ def egcd(field, a, b):
 
 
 def pow_mod(field, a, n, m):
+    """a^n mod m, by square-and-multiply.
+
+    Over a prime field the polynomials stay packed for the whole
+    exponentiation (``_pow_mod_prime``). Slot i, the s bits from bit i s
+    on, holds the x^i coefficient, with s = bits(2 (d + 1) p^2) for m of
+    degree d (a nonmonic m is made monic first, which leaves remainders
+    unchanged). A square or a product is one int product. The division by
+    m is lazy: from the top slot down, it reads the slot, clears it,
+    takes its value c mod p as the quotient coefficient, and adds c times
+    the packed -m mod p to the d slots below, leaving every slot
+    unreduced; one pass then takes the d remainder slots mod p.
+
+    No slot ever carries into the next. A slot starts below d p^2: a slot
+    of the product of two reduced polynomials sums at most d products of
+    coefficients below p, and a slot of the unreduced base is below p.
+    Each quotient step adds less than p^2 to a slot, and a slot lies below
+    at most d of them. So every slot stays below 2 d p^2 < 2^s, for every
+    p, and the path needs no bound on p and no fallback. Other fields and
+    rings run the loop on tuples.
+    """
+    if isinstance(field, fields.PrimeField):
+        return _pow_mod_prime(field, a, n, m)
     out = rem(field, (field.one,), m)
     a = rem(field, a, m)
     while n:
@@ -184,6 +216,45 @@ def pow_mod(field, a, n, m):
         if n:
             a = rem(field, mul(field, a, a), m)
     return out
+
+
+def _pow_mod_prime(field, a, n, m):
+    """``pow_mod`` over F_p on packed ints, over the bits of n from the top."""
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    m = make_monic(field, m)[1]
+    p, d = field.p, len(m) - 1
+    if d == 0:
+        return ()
+    s = (2 * (d + 1) * p * p).bit_length()
+    sd, mask = s * d, (1 << s) - 1
+    negm = 0
+    for c in reversed(m[:d]):
+        negm = negm << s | -c % p
+
+    def reduce(x):
+        for shift in range((x.bit_length() - 1) // s * s, sd - 1, -s):
+            c = x >> shift
+            x -= c << shift
+            c %= p
+            if c:
+                x += c * negm << shift - sd
+        out = 0
+        for shift in range(sd - s, -1, -s):
+            out = out << s | (x >> shift & mask) % p
+        return out
+
+    if not n:
+        return (field.one,)
+    base = 0
+    for c in reversed(a):
+        base = base << s | c
+    out = base = reduce(base)
+    for bit in bin(n)[3:]:
+        out = reduce(out * out)
+        if bit == "1":
+            out = reduce(out * base)
+    return trim(field, [out >> shift & mask for shift in range(0, sd, s)])
 
 
 def derivative(field, a):

@@ -145,6 +145,10 @@ class IntegerRing(_ExactRing):
     def reduce(self, a):
         return a % self.p
 
+    def reduce_over_prime(self, a):
+        """The residue of a / p, for a divisible by p."""
+        return a // self.p % self.p
+
     def lift(self, c):
         return c
 
@@ -255,6 +259,19 @@ class FunctionRing(_ExactRing):
         if self.pi_degree == 1:
             return ffpoly.evaluate(self.field, a, self._pi_root)
         return self.residue_field.wrap(ffpoly.rem(self.field, a, self.pi))
+
+    def reduce_over_prime(self, a):
+        """The residue of a / pi, for a divisible by pi.
+
+        At pi = t it is the coefficient of t; at pi = t - r, writing
+        a = (t - r) b gives a' = b + (t - r) b', so it is a'(r); only a pi
+        of degree >= 2 takes an exact division.
+        """
+        if self._pi_is_t:
+            return a[1] if len(a) > 1 else self.field.zero
+        if self.pi_degree == 1:
+            return ffpoly.evaluate(self.field, ffpoly.derivative(self.field, a), self._pi_root)
+        return self.reduce(self.exact_div(a, self.pi))
 
     def lift(self, c):
         if self.pi_degree == 1:

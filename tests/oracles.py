@@ -3,7 +3,8 @@
 Everything here recomputes quantities of the package by a different
 method: resultants from Sylvester matrices by fraction-free elimination,
 determinants a second time with exact fractions, residue factorizations
-by exhaustive trial division, valuations by direct counting, the
+by exhaustive trial division, modular powers by square-and-multiply
+on tuples, valuations by direct counting, the
 reducibility screen's candidate roots over F_q(t) by trying every unit,
 Hensel lifts computed in the exact ring and truncated after each
 step, and the classical gcd check on exact products. None of it imports
@@ -153,6 +154,20 @@ def poly_divmod_oracle(field, a, b):
     while q and q[-1] == field.zero:
         q.pop()
     return tuple(q), tuple(r)
+
+
+def pow_mod_oracle(field, a, n, m):
+    """a^n mod m by right-to-left square-and-multiply on tuples, one
+    ``ffpoly.rem`` of an ``ffpoly.mul`` per step."""
+    out = ffpoly.rem(field, (field.one,), m)
+    a = ffpoly.rem(field, a, m)
+    while n:
+        if n & 1:
+            out = ffpoly.rem(field, ffpoly.mul(field, out, a), m)
+        n >>= 1
+        if n:
+            a = ffpoly.rem(field, ffpoly.mul(field, a, a), m)
+    return out
 
 
 def factor_exhaustive(field, f):

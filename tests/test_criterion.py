@@ -302,6 +302,7 @@ def test_lift_invariance_explicit():
 _F4 = extension_field(2, 2)
 CLASSICAL_BASES = [
     B2, B3, B5, BT2, BT3,
+    ValuedBase.function_field(3, 1, (1, 1)),  # F_3(t) at t + 1
     ValuedBase.function_field(3, 1, (1, 0, 1)),  # F_3(t) at t^2 + 1
     ValuedBase.function_field(2, 2, (_F4.zero, _F4.one)),  # F_4(t) at t
 ]
@@ -350,6 +351,25 @@ def test_classical_check_matches_exact_ring_oracle(base, monkeypatch):
             assert got == classical_check_oracle(f, base, rf)
             seen.add(got)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())
+def test_classical_check_on_squarefree_residue_matches_oracle(base):
+    # f_bar squarefree, so h*_bar = 1 and the check holds without the gcd with g*_bar
+    rng = random.Random(14)
+    ring = base.ring
+    field = base.residue_field
+    checked = 0
+    for _ in range(40):
+        f = _small_poly(rng, base, rng.randint(1, 5)) + (ring.one,)
+        rf = residue_factorization(f, base)
+        if rf.repeated_indices:
+            continue
+        assert classical_check(f, base, rf) is classical_check_oracle(f, base, rf) is True
+        g = rings.reduce_mod(f, base)
+        assert ffpoly.gcd(field, g, ffpoly.derivative(field, g)) == (field.one,)
+        checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,13 @@ from maxorder import ffpoly
 from maxorder.fields import PrimeField, extension_field
 from maxorder.rings import ValuedBase
 
-from oracles import all_monic_polys, factor_exhaustive, poly_divmod_oracle, poly_mul_oracle
+from oracles import (
+    all_monic_polys,
+    factor_exhaustive,
+    poly_divmod_oracle,
+    poly_mul_oracle,
+    pow_mod_oracle,
+)
 
 
 def rand_poly(field, rng, max_deg, monic=False):
@@ -139,18 +146,66 @@ def test_factor_matches_exhaustive_oracle():
             assert prod == f
 
 
-FACTOR_FIELDS = [PrimeField(2), PrimeField(3), extension_field(2, 2)]
+# (field, largest degree): the primes of the slowest Q ops of the verdict stream at degree <= 4
+FACTOR_FIELDS = [
+    (PrimeField(2), 6), (PrimeField(3), 6), (extension_field(2, 2), 6),
+    (PrimeField(7), 4), (PrimeField(11), 4), (PrimeField(13), 4),
+]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_factor_matches_exhaustive_oracle_property(data):
-    field = data.draw(st.sampled_from(FACTOR_FIELDS))
-    digits = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=6))
+    field, top = data.draw(st.sampled_from(FACTOR_FIELDS))
+    digits = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=top))
     f = tuple(field.element(i) for i in digits) + (field.one,)
     assert Counter(dict(ffpoly.factor_monic(field, f, seed=data.draw(st.integers(0, 99))))) == (
         factor_exhaustive(field, f)
     )
+
+
+POW_MOD_PRIMES = [2, 3, 5, 13, 101, 2**61 - 1, 2**127 - 1]
+
+
+@st.composite
+def pow_mod_cases(draw, fields):
+    """(field, a, n, m): a = 0 or of degree >= deg m, n in {0, 1, q, (q^e - 1)/2, random}."""
+    field = draw(st.sampled_from(fields))
+    elem = st.integers(0, field.q - 1).map(field.element)
+    d = draw(st.integers(0, 12))
+    m = tuple(draw(st.lists(elem, min_size=d, max_size=d))) + (field.element(draw(st.integers(1, field.q - 1))),)
+    if draw(st.booleans()):
+        a = ()
+    else:
+        a = tuple(draw(st.lists(elem, min_size=d, max_size=2 * d + 3))) + (field.one,)
+    e = draw(st.integers(1, 3))  # the degree of the equal-degree split's power map
+    n = draw(st.sampled_from([0, 1, field.q, (field.q ** e - 1) // 2, draw(st.integers(0, 10**6))]))
+    return field, a, n, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(pow_mod_cases([PrimeField(p) for p in POW_MOD_PRIMES]))
+def test_pow_mod_packed_matches_oracle(case):
+    field, a, n, m = case
+    assert ffpoly.pow_mod(field, a, n, m) == pow_mod_oracle(field, a, n, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pow_mod_cases([extension_field(2, 2), extension_field(3, 2)]))
+def test_pow_mod_extension_fields_keep_the_tuple_loop(case):
+    field, a, n, m = case
+    with patch.object(ffpoly, "_pow_mod_prime", side_effect=AssertionError("packed path taken")):
+        assert ffpoly.pow_mod(field, a, n, m) == pow_mod_oracle(field, a, n, m)
+
+
+def test_pow_mod_takes_the_packed_path_over_prime_fields():
+    field = PrimeField(13)
+    with patch.object(ffpoly, "_pow_mod_prime", wraps=ffpoly._pow_mod_prime) as packed:
+        ffpoly.factor_monic(field, (1, 2, 3, 4, 5, 6, 0, 1), seed=0)
+        assert ffpoly.is_irreducible(field, (2, 1, 1))
+    assert packed.call_count > 0
+    with pytest.raises(ZeroDivisionError):
+        ffpoly.pow_mod(field, (1, 1), 3, ())
 
 
 def test_factor_seed_independent_and_ordered():
