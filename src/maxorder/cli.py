@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 
 from . import __version__, corpus as corpus_mod, ffpoly, rings
 from .criterion import count_extensions, dedekind_verdict, split_prime
@@ -609,7 +608,7 @@ def run_count(args):
 
 
 def _counts(report):
-    return {field.name: getattr(report, field.name) for field in fields(corpus_mod.Counts)}
+    return {name: getattr(report, name) for name in corpus_mod.Counts}
 
 
 def run_corpus(args):
@@ -621,8 +620,8 @@ def run_corpus(args):
         raise InputError("--primes must name at least one prime")
     if args.count < 1:
         raise InputError("--count must be at least 1")
-    if args.max_deg < 1:
-        raise InputError("--max-deg must be at least 1")
+    if not 1 <= args.max_deg <= DEGREE_CAP:
+        raise InputError(f"--max-deg must be at least 1 and at most {DEGREE_CAP}")
     pairs = [(ValuedBase.rational(p), args.count) for p in primes]
     report = corpus_mod.run_corpus(pairs, max_deg=args.max_deg, seed=args.seed)
     bases = [{"base": r.label, **_counts(r)} for r in report.per_base]

@@ -20,7 +20,7 @@ The whole run is a pure function of the seed and the suite selection.
 """
 
 import random
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from . import ffpoly, rings
 from .criterion import dedekind_verdict, split_prime
@@ -36,28 +36,18 @@ LIFT_PERTURBATION_BOUND = 3
 COEFFICIENT_T_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class Counts:
-    instances: int
-    verdict_true: int
-    verdict_false: int
-    repeated: int
-    lift_checks: int
-    splits_checked: int
-    identities_checked: int
-
-
-@dataclass(frozen=True)
-class BaseReport(Counts):
-    label: str
-
-
-@dataclass(frozen=True)
-class CorpusReport(Counts):
-    seed: int
-    max_deg: int
-    suites: tuple
-    per_base: tuple
+# the counters that each base's report and the totals carry, in this order
+Counts = (
+    "instances",
+    "verdict_true",
+    "verdict_false",
+    "repeated",
+    "lift_checks",
+    "splits_checked",
+    "identities_checked",
+)
+BaseReport = namedtuple("BaseReport", Counts + ("label",))
+CorpusReport = namedtuple("CorpusReport", Counts + ("seed", "max_deg", "suites", "per_base"))
 
 
 def random_coefficient(rng, base, t_degree=COEFFICIENT_T_DEGREE):
@@ -114,9 +104,8 @@ def run_corpus(pairs, max_deg=8, seed=0, lifts_per_instance=2, suites=SUITES):
                     rep += 1
                 if "lifts" in suites:
                     for _ in range(lifts_per_instance):
-                        rf2 = replace(
-                            verdict.factorization,
-                            lifts=perturbed_lifts(rng, verdict.factorization, base),
+                        rf2 = verdict.factorization._replace(
+                            lifts=perturbed_lifts(rng, verdict.factorization, base)
                         )
                         v2 = dedekind_verdict(f, base, seed=index, _rf=rf2)
                         if v2.integrally_closed != verdict.integrally_closed:
@@ -153,9 +142,7 @@ def run_corpus(pairs, max_deg=8, seed=0, lifts_per_instance=2, suites=SUITES):
                 identities_checked=ic,
             )
         )
-    totals = {
-        field.name: sum(getattr(r, field.name) for r in reports) for field in fields(Counts)
-    }
+    totals = {name: sum(getattr(r, name) for r in reports) for name in Counts}
     return CorpusReport(
         seed=seed, max_deg=max_deg, suites=tuple(suites), per_base=tuple(reports), **totals
     )

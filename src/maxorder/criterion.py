@@ -18,7 +18,7 @@ extensions of the valuation to K(alpha).
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from . import ffpoly, rings
@@ -29,7 +29,7 @@ from .errors import (
     ReduciblePolynomialError,
     VerdictFalseError,
 )
-from .residue import ResidueFactorization, residue_factorization
+from .residue import residue_factorization
 from .rings import (
     MINUS_INF,
     discriminant,
@@ -42,69 +42,32 @@ from .rings import (
 AUX_PLACES = 4  # the places _aux_place tries before the exact discriminant
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Remainder data for one repeated residue factor."""
-
-    index: int
-    phi: tuple
-    multiplicity: int
-    remainder: tuple
-    valuation: float
+Witness = namedtuple("Witness", "index phi multiplicity remainder valuation")
+Witness.__doc__ = "Remainder data for one repeated residue factor."
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    integrally_closed: bool
-    witnesses: tuple
-    factorization: ResidueFactorization
+class CriterionVerdict(
+    namedtuple("CriterionVerdict", "integrally_closed witnesses factorization")
+):
+    __slots__ = ()
 
     @property
     def repeated_indices(self):
         return self.factorization.repeated_indices
 
 
-@dataclass(frozen=True)
-class IdealFactor:
-    """One maximal ideal above the place: (base.prime_element, lift(alpha))."""
-
-    lift: tuple
-    e: int
-    f: int
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    ideals: tuple
-
-
-@dataclass(frozen=True)
-class InseparabilityDescent:
-    """f(x) = inner(x^(p^depth)) with depth maximal (depth 0 outside char p)."""
-
-    depth: int
-    inner: tuple
-
-
-@dataclass(frozen=True)
-class BranchCertificate:
-    """Why one residue branch contributes exactly one extension, if known."""
-
-    index: int
-    phi: tuple
-    multiplicity: int
-    degree: int
-    rule: str
-    certified: bool
-    remainder_valuation: object
-
-
-@dataclass(frozen=True)
-class ExtensionCount:
-    status: str
-    t: object
-    descent_depth: int
-    branches: tuple
+IdealFactor = namedtuple("IdealFactor", "lift e f")
+IdealFactor.__doc__ = "One maximal ideal above the place: (base.prime_element, lift(alpha))."
+SplittingReport = namedtuple("SplittingReport", "ideals")
+InseparabilityDescent = namedtuple("InseparabilityDescent", "depth inner")
+InseparabilityDescent.__doc__ = (
+    "f(x) = inner(x^(p^depth)) with depth maximal (depth 0 outside char p)."
+)
+BranchCertificate = namedtuple(
+    "BranchCertificate", "index phi multiplicity degree rule certified remainder_valuation"
+)
+BranchCertificate.__doc__ = "Why one residue branch contributes exactly one extension, if known."
+ExtensionCount = namedtuple("ExtensionCount", "status t descent_depth branches")
 
 
 def _validate(f, base):

@@ -21,7 +21,7 @@ Res(F_i, phi_i) has valuation deg phi_i. The verification here recomputes
 both sides from the lifted branches and reports each comparison.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ffpoly, rings
@@ -37,35 +37,16 @@ from .rings import reduce_mod, resultant
 PRECISION_CAP = 1024
 
 
-@dataclass(frozen=True)
-class LiftedFactorization:
-    """Branches F_i with f = prod F_i modulo prime^precision.
+LiftedFactorization = namedtuple("LiftedFactorization", "precision factors rf")
+LiftedFactorization.__doc__ = """Branches F_i with f = prod F_i modulo prime^precision.
 
-    With one branch, the branch is f itself reduced at the working
-    precision and no lifting happens.
-    """
-
-    precision: int
-    factors: tuple
-    rf: object
-
-
-@dataclass(frozen=True)
-class IdentityEntry:
-    index: int
-    multiplicity: int
-    degree: int
-    resultant_valuation: int
-    omega: Fraction
-    lhs: Fraction
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    entries: tuple
-    precision: int
-    passed: bool
+With one branch, the branch is f itself reduced at the working
+precision and no lifting happens.
+"""
+IdentityEntry = namedtuple(
+    "IdentityEntry", "index multiplicity degree resultant_valuation omega lhs passed"
+)
+VerificationReport = namedtuple("VerificationReport", "entries precision passed")
 
 
 def _lift_pair(fk, gbar, hbar, base, k, length):
@@ -202,14 +183,14 @@ def verify_valuation_identities(
             "R[alpha] is not integrally closed; the valuation identities "
             "are asserted only under the affirmative verdict"
         )
+    pinned = precision is not None
+    if pinned and not 2 <= precision <= PRECISION_CAP:
+        raise InputError(f"precision must be at least 2 and at most {PRECISION_CAP}")
     rf = verdict.factorization
     repeated = rf.repeated_indices
     if not repeated:
         return VerificationReport(entries=(), precision=0, passed=True)
-    pinned = precision is not None
     k = precision if pinned else auto_precision(rf)
-    if k < 2 or pinned and k > PRECISION_CAP:
-        raise InputError(f"precision must be at least 2 and at most {PRECISION_CAP}")
     while True:
         lifted = hensel_lift(f, rf, base, k)
         cross_resultant_check(lifted, base)

@@ -9,14 +9,13 @@ function of the input and the seed only feeds the internal splitting
 randomness, never the result.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import ffpoly, rings
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class ResidueFactorization:
+class ResidueFactorization(namedtuple("ResidueFactorization", "factors lifts")):
     """Factorization of the reduced polynomial plus chosen monic lifts.
 
     factors: tuple of (phi_bar, multiplicity) in canonical order.
@@ -24,8 +23,7 @@ class ResidueFactorization:
              congruent to the corresponding phi_bar.
     """
 
-    factors: tuple
-    lifts: tuple
+    __slots__ = ()
 
     @property
     def repeated_indices(self):

@@ -32,6 +32,7 @@ product is one int operation and one reduction pass.
 
 import functools
 import math
+import operator
 from itertools import count
 
 from . import ffpoly
@@ -100,24 +101,9 @@ class IntegerRing(_ExactRing):
         self.prime_element = p
         self.residue_field = PrimeField(p)
         self._truncated = {}
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def elem_pow(self, a, n):
-        return a ** n
+        self.add, self.sub, self.neg, self.mul, self.is_zero, self.elem_pow = (
+            operator.add, operator.sub, operator.neg, operator.mul, operator.not_, pow
+        )
 
     def exact_div(self, a, b):
         q, r = divmod(a, b)
@@ -185,24 +171,11 @@ class FunctionRing(_ExactRing):
             self._pi_root = field.neg(pi[0])
         else:
             self.residue_field = quotient_field(field, pi)
-
-    def add(self, a, b):
-        return ffpoly.add(self.field, a, b)
-
-    def sub(self, a, b):
-        return ffpoly.sub(self.field, a, b)
-
-    def neg(self, a):
-        return ffpoly.neg(self.field, a)
-
-    def mul(self, a, b):
-        return ffpoly.mul(self.field, a, b)
-
-    def is_zero(self, a):
-        return not a
-
-    def elem_pow(self, a, n):
-        return ffpoly.pow_(self.field, a, n)
+        self.add, self.sub, self.neg, self.mul, self.elem_pow = (
+            functools.partial(op, field)
+            for op in (ffpoly.add, ffpoly.sub, ffpoly.neg, ffpoly.mul, ffpoly.pow_)
+        )
+        self.is_zero = operator.not_
 
     def exact_div(self, a, b):
         q, r = ffpoly.divmod_(self.field, a, b)

@@ -260,3 +260,11 @@ def test_c9_json_determinism():
             jsonschema.validate(payload, REPORT_SCHEMA)
             assert lines[0] == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         box["detail"] = f"{len(CLI_CASES)} commands x 2 runs"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    """The result types are named tuples: a CLI process never imports dataclasses."""
+    code = "import sys, maxorder.cli; print('dataclasses' in sys.modules)"
+    cmd = [sys.executable, "-c", code]
+    run = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")

@@ -381,6 +381,22 @@ def test_verify_precision_cap_exits_2(capsys):
     assert err == "error[E_INPUT]: precision must be at least 2 and at most 1024\n"
     code, out, _ = run(capsys, *argv, "--precision", "1024")
     assert code == 0 and "precision: 1024\n" in out
+    # f_bar = x^2 + 2 has no repeated factor at 5, so no lift would run
+    for precision in ("-7", "100000"):
+        code, out, err = run(
+            capsys, "verify", "--prime", "5", "--poly", "x^2 + 2", "--precision", precision
+        )
+        assert (code, out) == (2, "")
+        assert err == "error[E_INPUT]: precision must be at least 2 and at most 1024\n"
+
+
+def test_corpus_max_deg_cap_exits_2(capsys):
+    for max_deg in ("0", "4097", "100000"):
+        code, out, err = run(
+            capsys, "corpus", "--primes", "2", "--count", "1", "--max-deg", max_deg
+        )
+        assert (code, out) == (2, "")
+        assert err == "error[E_INPUT]: --max-deg must be at least 1 and at most 4096\n"
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -131,7 +130,7 @@ def test_cross_check_rejects_tampered_branches():
         unit = (base.ring.one,)  # not a multiple of the prime
         for factors in ((F1, F0), (ffpoly.add(base.ring, F0, unit), F1), (F0,)):
             with pytest.raises(InternalInvariantError):
-                cross_resultant_check(dataclasses.replace(lifted, factors=factors), base)
+                cross_resultant_check(lifted._replace(factors=factors), base)
 
 
 def test_lift_root_valuation_requires_repeated_factor():
