@@ -162,7 +162,7 @@ def _fq_root_candidates(g, base, place):
     dgbar = ffpoly.derivative(field, gbar)
     out = []
     top = aux.truncated(need)
-    for h in ffpoly.equal_degree_split(field, split, 1, random.Random(0)):
+    for h in [split] if len(split) == 2 else ffpoly.equal_degree_split(field, split, 1, random.Random(0)):
         root = field.neg(h[0])
         r, s = (top.mod(aux.lift(c)) for c in (root, field.inv(ffpoly.evaluate(field, dgbar, root))))
         m = 1
@@ -238,8 +238,8 @@ def classical_check(f, base, rf):
     Only T_bar = T mod prime enters, and it depends only on g* h* - f
     modulo prime^2. So the products are taken in R/prime^2
     (``truncated(2)``) where that ring packs a whole polynomial into one
-    int, and each product is one int product. On the other
-    representations, Z/p^2 and tuples over F_q[t], reducing every
+    int, Z/p^2 for p below 2^64 and F_p[t]/t^2 for small p, and each
+    product is one int product. On tuples over F_q[t], reducing every
     coefficient costs more than it saves on the small canonical lifts,
     and the products stay exact in R. T_bar is read off the
     representatives of g* h* - f by ``reduce_over_prime``. The gcd with

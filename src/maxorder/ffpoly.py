@@ -287,8 +287,10 @@ def squarefree_decomposition(field, f):
     perfect), and its p-th root is processed recursively with all
     multiplicities scaled by p.
     """
-    out = []
     c = gcd(field, f, derivative(field, f))
+    if c == (field.one,):
+        return ((f, 1),)
+    out = []
     w = quo(field, f, c)
     i = 1
     while deg(w) > 0:
@@ -374,10 +376,14 @@ def factor_monic(field, f, seed=0):
     but the returned tuple of (factor, multiplicity) pairs is sorted
     canonically, so the output does not depend on the seed.
     """
-    rng = random.Random(seed)
+    rng = None
     out = []
     for part, m in squarefree_decomposition(field, f):
         for prod, d in distinct_degree_split(field, part):
+            if len(prod) - 1 == d:  # one irreducible factor
+                out.append((prod, m))
+                continue
+            rng = rng or random.Random(seed)  # built for the first class that must split
             for irr in equal_degree_split(field, prod, d, rng):
                 out.append((irr, m))
     out.sort(key=lambda fm: sort_key(field, fm[0]))

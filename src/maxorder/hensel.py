@@ -4,10 +4,10 @@ The reduction f_bar = prod phibar_i^(l_i) is a coprime factorization
 into the branch reductions phibar_i^(l_i), so it lifts to a branch
 factorization f = prod F_i modulo any power of the prime, computed in
 R/prime^k and checked branch by branch in the residue field. The lift
-uses only the polynomial ops of ``truncated(m, k, len f)``: ``ffpoly``
-on tuples over Z/p^m and over most F_q[t]/pi^m, and one int per
-polynomial at pi = t over a small prime field, where a product is one
-int product and one reduction pass (``rings.PackedPolynomialRing``).
+uses only the polynomial ops of ``truncated(m, k, len f)``: one int per
+polynomial over Z/p^k below 2^128 and F_p[t]/t^k for small p, where a
+product is one int product and one reduction pass, and ``ffpoly`` on
+tuples over the other quotients.
 
 Quantities read off a branch F_i, such as the valuation of a resultant
 against the lift phi_i, are exact whenever they come out strictly below

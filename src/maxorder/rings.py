@@ -24,10 +24,10 @@ quotient and ``to_ring`` maps back. Each quotient, and each global
 ring, also supplies the polynomial ops in x that those computations use
 (``poly_mul``, ``poly_divmod`` by a monic divisor, ``poly_mod``,
 ``poly_to_ring``, ...). They are ``ffpoly``'s on tuples of elements,
-except over ``PackedPolynomialRing``, asked for with
-``truncated(m, top, length)``, where a polynomial is not a tuple but
-one int: slot i holds the x^i coefficient, and a sum, a difference or a
-product is one int operation and one reduction pass.
+except over ``PackedPolynomialRing`` and ``PackedIntegersModPrimePow``,
+asked for with ``truncated(m, top, length)``, where a polynomial is not
+a tuple but one int: slot i holds the x^i coefficient, and a sum, a
+difference or a product is one int operation and one reduction pass.
 """
 
 import functools
@@ -48,7 +48,8 @@ class _PolyOps:
 
     Every quotient R/prime^m supplies these ops, which is what lets the
     Hensel lift run one loop body over each representation; a ring that
-    packs whole polynomials (``PackedPolynomialRing``) overrides them.
+    packs whole polynomials (``PackedPolynomialRing``,
+    ``PackedIntegersModPrimePow``) overrides them.
     """
 
     packs_polynomials = False
@@ -122,10 +123,17 @@ class IntegerRing(_ExactRing):
         return v
 
     def truncated(self, m, top=None, length=None):
-        """Z/p^m, built once per m; ``top`` and ``length`` (see ``FunctionRing.truncated``) change nothing."""
-        R = self._truncated.get(m)
+        """Z/p^m, built once per m and representation: with ``length``, a polynomial of
+        at most that many coefficients is one int while p^top < 2^128
+        (``PackedIntegersModPrimePow``, ``top`` as in ``FunctionRing.truncated``), else a tuple."""
+        top = m if top is None else top
+        # p^top has more than top (bits(p) - 1) bits, so the power is taken only if it may fit
+        packs = length is not None and top * (self.p.bit_length() - 1) < 128 and self.p ** top < 1 << 128
+        key = (m, top, length) if packs else m
+        R = self._truncated.get(key)
         if R is None:
-            R = self._truncated[m] = IntegersModPrimePow(self.p ** m)
+            R = PackedIntegersModPrimePow(self.p, m, top, length) if packs else IntegersModPrimePow(self.p ** m)
+            self._truncated[key] = R
         return R
 
     def reduce(self, a):
@@ -280,6 +288,74 @@ class IntegersModPrimePow(_PolyOps):
 
     def to_ring(self, a):
         return a
+
+
+class PackedIntegersModPrimePow(IntegersModPrimePow):
+    """Z/p^m with a whole polynomial in x over it packed into one int.
+
+    Slot i, the s = 2b + 1 bits from bit i s on, holds the x^i coefficient
+    as its representative 0 <= c < p^m after every op. For polynomials of
+    at most ``length`` coefficients, b = bits(4 length p^(2 top)) bounds
+    every slot before an op's last step: a product slot sums at most
+    length products below p^(2m), and a division adds at most length such
+    products to a dividend slot. The widths follow ``top``, so a lift
+    doubling m up to top keeps its ints. The last step takes every slot
+    mod p^m at once (Granlund-Montgomery 1994): with k = b + bits(p^m)
+    and M = ceil(2^k / p^m) <= 2^(b + 1), a slot v < 2^b has v M < 2^s and
+    floor(v M / 2^k) = floor(v / p^m), as v (M p^m - 2^k) < 2^k; so the
+    result is x - p^m ((x M >> k) & Q), with Q the s - k low slot bits.
+    """
+
+    packs_polynomials = True
+    poly_one = 1
+
+    def __init__(self, p, m, top, length):
+        super().__init__(p ** m)
+        b = (4 * length * p ** (2 * top)).bit_length()
+        self._width = s = 2 * b + 1
+        self._shift = k = b + self.modulus.bit_length()
+        self._magic = -(-(1 << k) // self.modulus)
+        ones = sum(1 << i * s for i in range(2 * length))  # a 1 at the start of each of 2 length slots
+        self._quotient_mask = ((1 << s - k) - 1) * ones
+        self._p_ones = self.modulus * ones
+
+    def _reduce(self, x):
+        return x - self.modulus * (x * self._magic >> self._shift & self._quotient_mask)
+
+    def poly_mod(self, P):
+        if isinstance(P, int):
+            return self._reduce(P)
+        s, n = self._width, self.modulus
+        return sum(c % n << i * s for i, c in enumerate(P))
+
+    def poly_to_ring(self, P):
+        s = self._width
+        return tuple(P >> i & (1 << s) - 1 for i in range(0, P.bit_length(), s))
+
+    def poly_add(self, a, b):
+        return self._reduce(a + b)
+
+    def poly_sub(self, a, b):
+        # p^m in every slot up to b's top slot keeps every slot of the difference positive
+        s = self._width
+        return self._reduce(a + (self._p_ones & (1 << -(-b.bit_length() // s) * s) - 1) - b)
+
+    def poly_mul(self, a, b):
+        return self._reduce(a * b)
+
+    def poly_divmod(self, a, h):
+        s, n = self._width, self.modulus
+        ds = (h.bit_length() - 1) // s * s
+        negh = (self._p_ones & (1 << ds) - 1) - (h & (1 << ds) - 1)
+        q = 0
+        for shift in range((a.bit_length() - 1) // s * s, ds - 1, -s):  # the top slot of a
+            c = a >> shift
+            a -= c << shift
+            c %= n
+            if c:
+                q |= c << shift - ds
+                a += c * negh << shift - ds
+        return q, self._reduce(a)
 
 
 class TruncatedFunctionRing(_PolyOps):

@@ -222,6 +222,21 @@ def test_factor_seed_independent_and_ordered():
         assert keys == sorted(keys)
 
 
+def test_distinct_degree_factors_build_no_generator():
+    # a squarefree product of irreducibles of distinct degrees needs no equal-degree split
+    for field, factors in (
+        (PrimeField(5), [(1, 1), (2, 0, 1), (1, 1, 0, 1)]),  # x + 1, x^2 + 2, x^3 + x + 1
+        (PrimeField(2), [(0, 1), (1, 1, 1), (1, 1, 0, 1)]),  # x, x^2 + x + 1, x^3 + x + 1
+    ):
+        assert all(ffpoly.is_irreducible(field, g) for g in factors)
+        f = (field.one,)
+        for g in factors:
+            f = ffpoly.mul(field, f, g)
+        with patch.object(ffpoly.random, "Random", side_effect=AssertionError("generator built")):
+            got = ffpoly.factor_monic(field, f, seed=0)
+        assert got == tuple((g, 1) for g in factors)
+
+
 def test_is_irreducible_against_oracle():
     for field in (PrimeField(2), PrimeField(3)):
         for d in (1, 2, 3, 4):

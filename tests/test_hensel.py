@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,8 @@ from maxorder.hensel import (
 from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
 from maxorder.rings import (
+    IntegersModPrimePow,
+    PackedIntegersModPrimePow,
     PackedPolynomialRing,
     PackedTruncatedRing,
     ValuedBase,
@@ -393,3 +397,59 @@ def test_verify_at_the_precision_cap_over_f2(capsys):
     assert main(argv + ["--precision", "1024"]) == 0
     out = capsys.readouterr().out
     assert "precision: 1024\n" in out and "verify: all identities hold\n" in out
+
+
+@pytest.mark.parametrize("k, packed", [(127, True), (128, False)])
+def test_rational_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
+    # Z/2^k packs whole polynomials while 2^k has at most 128 bits
+    rng = random.Random(46)
+    lifted_any = 0
+    for _ in range(12):
+        f = tuple(rng.randint(-40, 40) for _ in range(rng.randint(2, 7))) + (1,)
+        assert isinstance(B2.ring.truncated(k, length=len(f)), PackedIntegersModPrimePow) == packed
+        rf = residue_factorization(f, B2)
+        lifted = hensel_lift(f, rf, B2, k)
+        assert lifted.factors == hensel_lift_oracle(f, rf, B2, k)
+        assert cross_resultant_check(lifted, B2)
+        lifted_any += len(rf.factors) > 1
+    assert lifted_any >= 6
+
+
+@pytest.mark.parametrize(
+    "prime, poly, want",
+    [
+        (
+            "2",
+            "(x^2+x+1)^4*(x+1)^3 + 2",
+            "base: Q at p = 2\n"
+            "poly: x^11 + 7*x^10 + 25*x^9 + 59*x^8 + 101*x^7 + 131*x^6 + 131*x^5 + 101*x^4"
+            " + 59*x^3 + 25*x^2 + 7*x + 3\n"
+            "precision: 1024\n"
+            "identity [0]: l = 3, deg phi = 1, nu(Res) = 1, omega = 1/3, l*omega = 1: pass\n"
+            "identity [1]: l = 4, deg phi = 2, nu(Res) = 2, omega = 1/4, l*omega = 1: pass\n"
+            "verify: all identities hold\n",
+        ),
+        (
+            "1000003",
+            "(x+1)^2*(x+2) + 1000003",
+            "base: Q at p = 1000003\n"
+            "poly: x^3 + 4*x^2 + 5*x + 1000005\n"
+            "precision: 1024\n"
+            "identity [0]: l = 2, deg phi = 1, nu(Res) = 1, omega = 1/2, l*omega = 1: pass\n"
+            "verify: all identities hold\n",
+        ),
+    ],
+)
+def test_verify_at_the_precision_cap_over_q(capsys, prime, poly, want):
+    # past the packing bound the lift runs on tuples over Z/p^1024
+    assert main(["verify", "--prime", prime, "--poly", poly, "--precision", "1024"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_rational_verify_takes_the_packed_path():
+    # no element product of Z/p^m: every lift and the classical check run on packed ints
+    cases = [((-3, 0, 1), B2), ((-2, 0, 0, 1), B3), ((1, 1, 1, 1, 1), B5), (parse_poly("(x^2+x+1)^4*(x+1)^3 + 2", B2), B2)]
+    with patch.object(IntegersModPrimePow, "mul", side_effect=AssertionError("tuple path taken")):
+        for f, base in cases:
+            report = verify_valuation_identities(f, base, assume_irreducible=True)
+            assert report.passed and report.entries

@@ -10,6 +10,9 @@ from maxorder import ffpoly
 from maxorder.cli import parse_poly
 from maxorder.errors import InputError
 from maxorder.rings import (
+    IntegerRing,
+    IntegersModPrimePow,
+    PackedIntegersModPrimePow,
     PackedPolynomialRing,
     PackedTruncatedRing,
     TruncatedFunctionRing,
@@ -381,6 +384,74 @@ def test_packed_polynomials_fall_back_at_the_bound():
     for base in (BT3, _b4(), ValuedBase.function_field(3, 1, (1, 0, 1))):
         assert not isinstance(base.ring.truncated(2), PackedPolynomialRing)
     assert not isinstance(_b4().ring.truncated(2, length=3), PackedPolynomialRing)
+
+
+# whole polynomials packed over Z/p^m against ffpoly over the tuple ring
+Q_PACK_PRIMES = [2, 3, 5, 7, 13, 65537, 2**61 - 1]
+
+
+def _q_pack_top(p):
+    """The largest top with p^top of at most 128 bits."""
+    top = 1
+    while (p ** (top + 1)).bit_length() <= 128:
+        top += 1
+    return top
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_integer_polynomials_agree_with_ffpoly(data):
+    p = data.draw(st.sampled_from(Q_PACK_PRIMES))
+    ring = IntegerRing(p)
+    length = data.draw(st.integers(1, 13))
+    bound = _q_pack_top(p)
+    top = data.draw(st.integers(max(1, bound - 3), bound + 2))  # both sides of the bound
+    m = data.draw(st.integers(1, top))
+    R, T = ring.truncated(m, top, length), IntegersModPrimePow(p**m)
+    assert isinstance(R, PackedIntegersModPrimePow) == (top <= bound)
+
+    def poly(min_len, max_len):
+        size = p ** (top + 1)
+        coeffs = [data.draw(st.integers(-size, size)) for _ in range(data.draw(st.integers(min_len, max_len)))]
+        return ffpoly.trim(ring, coeffs)
+
+    def back(x):
+        # every result is the canonical representative: equal values are equal ints
+        y = R.poly_to_ring(x)
+        assert R.poly_mod(y) == x
+        return y
+
+    a, b = poly(0, length), poly(0, length)
+    h = poly(0, length - 1) + (1,)
+    ra, rb, rh = R.poly_mod(a), R.poly_mod(b), R.poly_mod(h)
+    ta, tb, th = T.poly_mod(a), T.poly_mod(b), T.poly_mod(h)
+    assert back(ra) == ta and back(R.poly_one) == (1,)
+    assert back(R.poly_add(ra, rb)) == ffpoly.add(T, ta, tb)
+    assert back(R.poly_sub(ra, rb)) == ffpoly.sub(T, ta, tb)
+    ab = R.poly_mul(ra, rb)
+    assert back(ab) == ffpoly.mul(T, ta, tb)
+    for dividend in (ra, ab):  # ab has up to 2 length - 1 coefficients
+        q, r = R.poly_divmod(dividend, rh)
+        assert (back(q), back(r)) == ffpoly.divmod_(T, back(dividend), th)
+    # a polynomial at the top precision maps to every lower one of its lift
+    H = ring.truncated(top, length=length)
+    assert back(R.poly_mod(H.poly_mod(a))) == ta
+
+
+def test_packed_integer_polynomials_fall_back_at_the_bound():
+    for p, bound in ((2, 127), (3, 80)):
+        ring = IntegerRing(p)
+        assert (p**bound).bit_length() <= 128 < (p ** (bound + 1)).bit_length()
+        assert isinstance(ring.truncated(bound, length=5), PackedIntegersModPrimePow)
+        assert type(ring.truncated(bound + 1, length=5)) is IntegersModPrimePow
+        # the choice follows top, not m
+        assert isinstance(ring.truncated(1, bound, 5), PackedIntegersModPrimePow)
+        assert type(ring.truncated(1, bound + 1, 5)) is IntegersModPrimePow
+        # without a length no polynomial is packed
+        assert type(ring.truncated(2)) is IntegersModPrimePow
+        # built once per precision, top and length
+        assert ring.truncated(3, 9, 4) is ring.truncated(3, 9, 4)
+        assert ring.truncated(3, 9, 4) is not ring.truncated(3, 9, 5)
 
 
 def test_to_ring_is_the_identity_outside_the_packed_ring():
