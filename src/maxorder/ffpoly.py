@@ -17,13 +17,17 @@ distinct-degree splitting, and seeded equal-degree splitting with the
 additive-trace variant in characteristic 2. Irreducibility testing is
 Rabin's criterion.
 
-Its inner loop is the Frobenius power h^q mod f (distinct-degree
-splitting, Rabin) and h^((q^d - 1)/2) mod f (equal-degree splitting in
-odd characteristic), both ``pow_mod``. Over a prime field ``pow_mod``
-keeps the base and the modulus packed into one int each, by Kronecker
-substitution, for the whole power: a square is one int product, the
-division by the modulus is lazy, and the slots are wide enough that none
-carries into the next for any p, as its docstring shows.
+Each stage, Euclid and Rabin's test are written once, against a domain
+of polynomial ops (``_Polys``), in one of two representations. Over a
+prime field F_p a polynomial is one Kronecker-packed int (``_Packed``):
+a product is one int product, a division reads one top slot per
+quotient digit, and one multiply-shift-mask pass reduces every slot mod
+p at once; the slots are wide enough that none carries into the next
+for any p, as its docstring shows. ``factor_monic``, ``is_irreducible``,
+``gcd``, ``egcd`` and ``pow_mod`` over F_p pack their inputs once and
+unpack the results once, and the stages pass packed ints between them.
+Over other fields they run on the tuples (``_Tuples``), and so does
+everything else, over fields and rings alike.
 """
 
 import random
@@ -52,11 +56,6 @@ def constant(field, c):
 
 def x_poly(field):
     return (field.zero, field.one)
-
-
-def lc(a):
-    """Leading coefficient of a nonzero polynomial."""
-    return a[-1]
 
 
 def is_monic(field, a):
@@ -146,20 +145,12 @@ def quo(field, a, b):
     return q
 
 
-def make_monic(field, a):
-    """Return (leading coefficient, monic associate)."""
-    if not a:
-        return field.zero, ()
-    l = a[-1]
-    if l == field.one:
-        return l, a
-    return l, scale(field, a, field.inv(l))
-
-
 def gcd(field, a, b):
-    while b:
-        a, b = b, rem(field, a, b)
-    return make_monic(field, a)[1]
+    """The monic gcd; 1 without a division when a or b is a nonzero constant."""
+    if len(a) == 1 or len(b) == 1:
+        return (field.one,)
+    P = _polys(field, max(len(a), len(b)) - 1)
+    return P.unpack(P.gcd(P.pack(a), P.pack(b)))
 
 
 def egcd(field, a, b):
@@ -168,45 +159,24 @@ def egcd(field, a, b):
     The cofactors carry the usual minimal degree bounds, so they can be
     used directly as Bezout data for lifting.
     """
-    r0, s0, t0 = a, (field.one,), ()
-    r1, s1, t1 = b, (), (field.one,)
-    while r1:
-        q, r = divmod_(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(field, s0, mul(field, q, s1))
-        t0, t1 = t1, sub(field, t0, mul(field, q, t1))
-    if not r0:
-        return (), (), ()
-    l = r0[-1]
-    if l == field.one:
-        return r0, s0, t0
-    li = field.inv(l)
-    return scale(field, r0, li), scale(field, s0, li), scale(field, t0, li)
+    P = _polys(field, max(len(a), len(b)) - 1)
+    return tuple(map(P.unpack, P.egcd(P.pack(a), P.pack(b))))
 
 
 def pow_mod(field, a, n, m):
     """a^n mod m, by square-and-multiply.
 
     Over a prime field the polynomials stay packed for the whole
-    exponentiation (``_pow_mod_prime``). Slot i, the s bits from bit i s
-    on, holds the x^i coefficient, with s = bits(2 (d + 1) p^2) for m of
-    degree d (a nonmonic m is made monic first, which leaves remainders
-    unchanged). A square or a product is one int product. The division by
-    m is lazy: from the top slot down, it reads the slot, clears it,
-    takes its value c mod p as the quotient coefficient, and adds c times
-    the packed -m mod p to the d slots below, leaving every slot
-    unreduced; one pass then takes the d remainder slots mod p.
-
-    No slot ever carries into the next. A slot starts below d p^2: a slot
-    of the product of two reduced polynomials sums at most d products of
-    coefficients below p, and a slot of the unreduced base is below p.
-    Each quotient step adds less than p^2 to a slot, and a slot lies below
-    at most d of them. So every slot stays below 2 d p^2 < 2^s, for every
-    p, and the path needs no bound on p and no fallback. Other fields and
-    rings run the loop on tuples.
+    exponentiation (``_pow_mod_prime``): a square or a product is one
+    int product, and its division by m is lazy, leaving every slot
+    unreduced until one pass reduces the remainder. ``_Packed`` bounds
+    every slot below 2 n p^2 for polynomials of degree at most n, so no
+    slot carries for any p. Other fields and rings run the loop on
+    tuples.
     """
     if isinstance(field, fields.PrimeField):
-        return _pow_mod_prime(field, a, n, m)
+        P = _Packed(field, max(len(a), len(m)) - 1)
+        return P.unpack(_pow_mod_prime(P, P.pack(a), n, P.pack(m)))
     out = rem(field, (field.one,), m)
     a = rem(field, a, m)
     while n:
@@ -218,43 +188,262 @@ def pow_mod(field, a, n, m):
     return out
 
 
-def _pow_mod_prime(field, a, n, m):
-    """``pow_mod`` over F_p on packed ints, over the bits of n from the top."""
-    if not m:
-        raise ZeroDivisionError("polynomial division by zero")
-    m = make_monic(field, m)[1]
-    p, d = field.p, len(m) - 1
-    if d == 0:
-        return ()
-    s = (2 * (d + 1) * p * p).bit_length()
-    sd, mask = s * d, (1 << s) - 1
-    negm = 0
-    for c in reversed(m[:d]):
-        negm = negm << s | -c % p
+def _pow_mod_prime(P, a, n, m):
+    """``pow_mod`` on the packed ints of ``_Packed`` P, over the bits of n from the top."""
+    out = base = P.rem(a if n else P.one, m)
+    for bit in bin(n)[3:]:
+        out = P.mulmod(out, out, m)
+        if bit == "1":
+            out = P.mulmod(out, base, m)
+    return out
 
-    def reduce(x):
-        for shift in range((x.bit_length() - 1) // s * s, sd - 1, -s):
-            c = x >> shift
-            x -= c << shift
-            c %= p
+
+class _Polys:
+    """The polynomial ops that Euclid and the factorization stages use.
+
+    A subclass fixes the representation (``pack`` maps a tuple into it,
+    ``unpack`` back) and the primitive ops; gcd, egcd and exact division
+    are written here once, for both.
+    """
+
+    def quo(self, a, b):
+        q, r = self.divmod(a, b)
+        if r:
+            raise ArithmeticError("polynomial quotient is not exact")
+        return q
+
+    def monic(self, a):
+        if a and self.lc(a) != self.field.one:
+            return self.scale(a, self.field.inv(self.lc(a)))
+        return a
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.rem(a, b)
+        return self.monic(a)
+
+    def egcd(self, a, b):
+        r0, s0, t0 = a, self.one, self.zero
+        r1, s1, t1 = b, self.zero, self.one
+        while r1:
+            q, r = self.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
+            t0, t1 = t1, self.sub(t0, self.mul(q, t1))
+        if not r0:
+            return self.zero, self.zero, self.zero
+        l = self.lc(r0)
+        if l == self.field.one:
+            return r0, s0, t0
+        li = self.field.inv(l)
+        return self.scale(r0, li), self.scale(s0, li), self.scale(t0, li)
+
+    def random_nonconstant(self, rng, max_deg):
+        field = self.field
+        while True:
+            r = trim(field, [field.element(rng.randrange(field.q)) for _ in range(max_deg + 1)])
+            if len(r) > 1:
+                return self.pack(r)
+
+
+class _Tuples(_Polys):
+    """``_Polys`` on the trimmed tuples of this module, over any field."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p, self.q = field.p, field.q
+        self.zero, self.one, self.x = (), (field.one,), x_poly(field)
+
+    def pack(self, a):
+        return a
+
+    unpack = pack
+    deg = staticmethod(deg)
+
+    def lc(self, a):
+        return a[-1]
+
+    def add(self, a, b):
+        return add(self.field, a, b)
+
+    def sub(self, a, b):
+        return sub(self.field, a, b)
+
+    def mul(self, a, b):
+        return mul(self.field, a, b)
+
+    def scale(self, a, c):
+        return scale(self.field, a, c)
+
+    def divmod(self, a, b):
+        return divmod_(self.field, a, b)
+
+    def rem(self, a, b):
+        return divmod_(self.field, a, b)[1]
+
+    def mulmod(self, a, b, m):
+        return rem(self.field, mul(self.field, a, b), m)
+
+    def pow_mod(self, a, n, m):
+        return pow_mod(self.field, a, n, m)
+
+    def derivative(self, a):
+        return derivative(self.field, a)
+
+    def pth_root(self, a):
+        return pth_root(self.field, a)
+
+    def order(self, pair):
+        return sort_key(self.field, pair[0])
+
+
+class _Packed(_Polys):
+    """Polynomials of degree at most n over F_p, each packed into one int.
+
+    Slot i, the s bits from bit i s on, holds the x^i coefficient.
+    Between ops every slot holds its coefficient in [0, p), so the
+    degree is bit_length // s and the leading coefficient is the top
+    slot. Within an op a slot holds some value congruent to it mod p,
+    and that value stays below 2 n p^2 < 2^b, b = bits(2 n p^2):
+
+    - A slot of a product sums at most n products of two residues, so
+      it is below n p^2: every product here has a factor with at most n
+      coefficients. The powers multiply residues modulo a divisor of
+      degree at most n, egcd a quotient and a cofactor whose degrees
+      sum to at most n, and ``scale`` a polynomial by a constant.
+    - A division by b of degree e <= n reads one top slot per quotient
+      digit c < p and adds c times the packed p - b_j, each at most p,
+      to the e slots below it; the slots it has read are dropped at the
+      end. A slot lies below at most e top slots, so the division adds
+      less than n p^2 to it.
+    - A sum is below 2 p, and a difference a - b is taken as
+      a + p ONES - b, below 2 p and positive in every slot.
+
+    So no slot ever carries into the next, for any p. One pass then
+    reduces every slot (Granlund-Montgomery 1994, as in
+    ``rings.PackedIntegersModPrimePow``): with s = 2 b + 1,
+    k = b + bits(p) and M = ceil(2^k / p) <= 2^(b + 1), a slot v < 2^b
+    has v M < 2^s, and floor(v M / 2^k) = floor(v / p) because
+    v (M p - 2^k) / (p 2^k) < 2^(b - k) < 1 / p. The result is
+    x - p ((x M >> k) & Q), with Q the s - k low bits of every slot. A
+    product has degree at most 2 n - 2, so ONES, a 1 at the start of
+    each of 2 n slots, is (2^(2 n s) - 1) / (2^s - 1). The layout is
+    built per instance from these closed forms, for any p and n.
+    """
+
+    def __init__(self, field, n):
+        n = max(n, 1)
+        p = field.p
+        self.field, self.p, self.q = field, p, p
+        b = (2 * n * p * p).bit_length()
+        self._width = s = 2 * b + 1
+        self._shift = k = b + p.bit_length()
+        self._magic = -(-(1 << k) // p)
+        ones = ((1 << 2 * n * s) - 1) // ((1 << s) - 1)
+        self._quotient_mask = ((1 << s - k) - 1) * ones
+        self._p_ones = p * ones
+        self.zero, self.one, self.x = 0, 1, 1 << s
+
+    # Pairs (packed factor, multiplicity) sort as they are: ints compare by bit length, so
+    # by degree, then slot by slot from the top, which is sort_key's order for F_p.
+    order = None
+
+    def _reduce(self, x):
+        return x - self.p * (x * self._magic >> self._shift & self._quotient_mask)
+
+    def pack(self, a):
+        s, x = self._width, 0
+        for c in reversed(a):
+            x = x << s | c
+        return x
+
+    def unpack(self, a):
+        s = self._width
+        mask = (1 << s) - 1
+        return tuple([a >> i & mask for i in range(0, a.bit_length(), s)])
+
+    def deg(self, a):
+        return a.bit_length() // self._width if a else MINUS_INF
+
+    def lc(self, a):
+        return a >> a.bit_length() // self._width * self._width
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    def sub(self, a, b):
+        return self._reduce(a + self._p_ones - b)
+
+    def mul(self, a, b):
+        return self._reduce(a * b)
+
+    scale = mul
+
+    def divmod(self, a, b):
+        return self._divide(a, b, True)
+
+    def rem(self, a, b):
+        return self._divide(a, b, False)
+
+    def _divide(self, a, b, quotient):
+        """a mod nonzero b, after the quotient if asked; a may be an unreduced product.
+
+        Each quotient digit is the top slot over lc(b). The slots read
+        are never cleared: each read masks one slot, and the slots from
+        deg b up are dropped at the end.
+        """
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        s, p = self._width, self.p
+        ds = b.bit_length() // s * s
+        low = (1 << ds) - 1
+        inv = pow(b >> ds, -1, p)
+        negb = (self._p_ones & low) - (b & low)
+        mask = (1 << s) - 1
+        q = 0
+        for j in range(a.bit_length() // s * s - ds, -1, -s):
+            c = (a >> j + ds & mask) * inv % p
             if c:
-                x += c * negm << shift - sd
+                if quotient:
+                    q |= c << j
+                a += c * negb << j
+        a &= low
+        r = a - p * (a * self._magic >> self._shift & self._quotient_mask)  # ``_reduce`` inline: one call fewer per Euclid step
+        return (q, r) if quotient else r
+
+    def mulmod(self, a, b, m):
+        return self._divide(a * b, m, False)
+
+    def pow_mod(self, a, n, m):
+        return _pow_mod_prime(self, a, n, m)
+
+    def derivative(self, a):
+        s, p = self._width, self.p
         out = 0
-        for shift in range(sd - s, -1, -s):
-            out = out << s | (x >> shift & mask) % p
+        for i in range(a.bit_length() // s, 0, -1):
+            out = out << s | (a >> i * s & (1 << s) - 1) * i % p
         return out
 
-    if not n:
-        return (field.one,)
-    base = 0
-    for c in reversed(a):
-        base = base << s | c
-    out = base = reduce(base)
-    for bit in bin(n)[3:]:
-        out = reduce(out * out)
-        if bit == "1":
-            out = reduce(out * base)
-    return trim(field, [out >> shift & mask for shift in range(0, sd, s)])
+    def pth_root(self, a):
+        s, p = self._width, self.p
+        out = 0
+        for i in range(a.bit_length() // s, -1, -1):
+            c = a >> i * s & (1 << s) - 1
+            if i % p == 0:
+                out = out << s | c
+            elif c:
+                raise ArithmeticError("polynomial is not a p-th power")
+        return out
+
+
+def _polys(field, n):
+    """The ops for polynomials of degree at most n over the field: packed over F_p."""
+    return _Packed(field, n) if isinstance(field, fields.PrimeField) else _Tuples(field)
+
+
+def _domain(field):
+    """A stage's ops: the domain it was handed, or the tuples over a field."""
+    return field if isinstance(field, _Polys) else _Tuples(field)
 
 
 def derivative(field, a):
@@ -285,51 +474,47 @@ def squarefree_decomposition(field, f):
 
     When the derivative vanishes the input is a p-th power (the field is
     perfect), and its p-th root is processed recursively with all
-    multiplicities scaled by p.
+    multiplicities scaled by p. ``field`` is a field, on tuples, or the
+    domain ``factor_monic`` passes, like every stage's.
     """
-    c = gcd(field, f, derivative(field, f))
-    if c == (field.one,):
+    P = _domain(field)
+    c = P.gcd(f, P.derivative(f))
+    if c == P.one:
         return ((f, 1),)
     out = []
-    w = quo(field, f, c)
+    w = P.quo(f, c)
     i = 1
-    while deg(w) > 0:
-        y = gcd(field, w, c)
-        part = quo(field, w, y)
-        if deg(part) > 0:
+    while P.deg(w) > 0:
+        y = P.gcd(w, c)
+        part = P.quo(w, y)
+        if P.deg(part) > 0:
             out.append((part, i))
-        w, c = y, quo(field, c, y)
+        w, c = y, P.quo(c, y)
         i += 1
-    if deg(c) > 0:
-        for part, m in squarefree_decomposition(field, pth_root(field, c)):
-            out.append((part, m * field.p))
+    if P.deg(c) > 0:
+        for part, m in squarefree_decomposition(P, P.pth_root(c)):
+            out.append((part, m * P.p))
     return tuple(out)
 
 
 def distinct_degree_split(field, f):
     """Partition squarefree monic f into products of equal-degree factors."""
+    P = _domain(field)
     out = []
-    x = x_poly(field)
-    h = rem(field, x, f)
+    x = P.x
+    h = P.rem(x, f)
     d = 0
-    while 2 * (d + 1) <= deg(f):
+    while 2 * (d + 1) <= P.deg(f):
         d += 1
-        h = pow_mod(field, h, field.q, f)
-        g = gcd(field, f, sub(field, h, x))
-        if deg(g) > 0:
+        h = P.pow_mod(h, P.q, f)
+        g = P.gcd(f, P.sub(h, x))
+        if P.deg(g) > 0:
             out.append((g, d))
-            f = quo(field, f, g)
-            h = rem(field, h, f)
-    if deg(f) > 0:
-        out.append((f, deg(f)))
+            f = P.quo(f, g)
+            h = P.rem(h, f)
+    if P.deg(f) > 0:
+        out.append((f, P.deg(f)))
     return tuple(out)
-
-
-def _random_nonconstant(field, rng, max_deg):
-    while True:
-        r = trim(field, [field.element(rng.randrange(field.q)) for _ in range(max_deg + 1)])
-        if len(r) > 1:
-            return r
 
 
 def equal_degree_split(field, f, d, rng):
@@ -339,29 +524,29 @@ def equal_degree_split(field, f, d, rng):
     characteristic 2 the additive trace r + r^2 + ... + r^(2^(md-1))
     projects the factor algebra onto F_2 and its gcd with f splits.
     """
-    n = deg(f)
+    P = _domain(field)
+    n = P.deg(f)
     if n == d:
         return [f]
-    q = field.q
+    q = P.q
     while True:
-        r = _random_nonconstant(field, rng, n - 1)
-        g = gcd(field, f, r)
-        if 0 < deg(g) < n:
+        r = P.random_nonconstant(rng, n - 1)
+        g = P.gcd(f, r)
+        if 0 < P.deg(g) < n:
             break
-        if field.p == 2:
+        if P.p == 2:
             m = q.bit_length() - 1
-            acc = h = rem(field, r, f)
+            acc = h = P.rem(r, f)
             for _ in range(m * d - 1):
-                h = rem(field, mul(field, h, h), f)
-                acc = add(field, acc, h)
-            g = gcd(field, f, acc)
+                h = P.mulmod(h, h, f)
+                acc = P.add(acc, h)
+            g = P.gcd(f, acc)
         else:
-            h = pow_mod(field, r, (q ** d - 1) // 2, f)
-            g = gcd(field, f, sub(field, h, (field.one,)))
-        if 0 < deg(g) < n:
+            h = P.pow_mod(r, (q ** d - 1) // 2, f)
+            g = P.gcd(f, P.sub(h, P.one))
+        if 0 < P.deg(g) < n:
             break
-    return equal_degree_split(field, g, d, rng) + equal_degree_split(
-        field, quo(field, f, g), d, rng)
+    return equal_degree_split(P, g, d, rng) + equal_degree_split(P, P.quo(f, g), d, rng)
 
 
 def sort_key(field, a):
@@ -372,22 +557,25 @@ def sort_key(field, a):
 def factor_monic(field, f, seed=0):
     """Factor monic f (degree >= 1) into monic irreducibles.
 
-    The equal-degree stage draws from a generator seeded with ``seed``,
-    but the returned tuple of (factor, multiplicity) pairs is sorted
-    canonically, so the output does not depend on the seed.
+    Over a prime field f is packed once, every stage runs on packed
+    ints, and the factors are unpacked once at the end. The equal-degree
+    stage draws from a generator seeded with ``seed``, but the returned
+    tuple of (factor, multiplicity) pairs is sorted canonically, so the
+    output does not depend on the seed.
     """
+    P = _polys(field, len(f) - 1)
     rng = None
     out = []
-    for part, m in squarefree_decomposition(field, f):
-        for prod, d in distinct_degree_split(field, part):
-            if len(prod) - 1 == d:  # one irreducible factor
+    for part, m in squarefree_decomposition(P, P.pack(f)):
+        for prod, d in distinct_degree_split(P, part):
+            if P.deg(prod) == d:  # one irreducible factor
                 out.append((prod, m))
                 continue
             rng = rng or random.Random(seed)  # built for the first class that must split
-            for irr in equal_degree_split(field, prod, d, rng):
+            for irr in equal_degree_split(P, prod, d, rng):
                 out.append((irr, m))
-    out.sort(key=lambda fm: sort_key(field, fm[0]))
-    return tuple(out)
+    out.sort(key=P.order)
+    return tuple((P.unpack(g), m) for g, m in out)
 
 
 def _prime_divisors(n):
@@ -411,11 +599,12 @@ def is_irreducible(field, f):
         return False
     if n == 1:
         return True
-    x = x_poly(field)
+    P = _polys(field, n)
+    f = P.pack(f)
     checkpoints = {n // r for r in _prime_divisors(n)}
-    h = rem(field, x, f)
+    h = P.rem(P.x, f)
     for i in range(1, n + 1):
-        h = pow_mod(field, h, field.q, f)
-        if i in checkpoints and deg(gcd(field, f, sub(field, h, x))) != 0:
+        h = P.pow_mod(h, P.q, f)
+        if i in checkpoints and P.deg(P.gcd(f, P.sub(h, P.x))) != 0:
             return False
-    return h == x
+    return h == P.x

@@ -37,11 +37,12 @@ from .rings import reduce_mod, resultant
 PRECISION_CAP = 1024
 
 
-LiftedFactorization = namedtuple("LiftedFactorization", "precision factors rf")
+LiftedFactorization = namedtuple("LiftedFactorization", "precision factors rf powers")
 LiftedFactorization.__doc__ = """Branches F_i with f = prod F_i modulo prime^precision.
 
-With one branch, the branch is f itself reduced at the working
-precision and no lifting happens.
+``powers`` holds the branch powers phibar_i^l_i that the F_i lift,
+built once per lift. With one branch, the branch is f itself reduced
+at the working precision and no lifting happens.
 """
 IdentityEntry = namedtuple(
     "IdentityEntry", "index multiplicity degree resultant_valuation omega lhs passed"
@@ -109,14 +110,16 @@ def hensel_lift(f, rf, base, k):
     field = base.residue_field
     R = base.ring.truncated(k, length=len(f))
     fk = R.poly_mod(f)
-    bars = [ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors]
-    factors = _lift_tree(fk, bars, base, k, len(f))
+    powers = tuple(ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors)
+    factors = _lift_tree(fk, powers, base, k, len(f))
     prod = R.poly_one
     for F in factors:
         prod = R.poly_mul(prod, F)
     if prod != fk:
         raise InternalInvariantError("lifted branches do not multiply back to f")
-    return LiftedFactorization(precision=k, factors=tuple(map(R.poly_to_ring, factors)), rf=rf)
+    return LiftedFactorization(
+        precision=k, factors=tuple(map(R.poly_to_ring, factors)), rf=rf, powers=powers
+    )
 
 
 def cross_resultant_check(lifted, base):
@@ -127,9 +130,7 @@ def cross_resultant_check(lifted, base):
     residue factor. The name stays because the benchmark's tracer
     (bench/tracing.py) wraps ``hensel.cross_resultant_check``.
     """
-    field = base.residue_field
-    reductions = [reduce_mod(F, base) for F in lifted.factors]
-    if reductions != [ffpoly.pow_(field, phibar, l) for phibar, l in lifted.rf.factors]:
+    if tuple(reduce_mod(F, base) for F in lifted.factors) != lifted.powers:
         raise InternalInvariantError("the branches do not reduce to the residue factor powers")
     return True
 

@@ -205,7 +205,7 @@ def fq_root_candidates_unfiltered(f, base, cap=256):
     divisor."""
     ring = base.ring
     field = ring.field
-    _, monic = ffpoly.make_monic(field, f[0])
+    monic = ffpoly.scale(field, f[0], field.inv(f[0][-1])) if f[0] else ()
     divisors = [ring.one]
     if ffpoly.deg(monic) >= 1:
         for g, e in ffpoly.factor_monic(field, monic, seed=0):

@@ -153,15 +153,76 @@ FACTOR_FIELDS = [
 ]
 
 
+def monic_of_degree(draw, field, d):
+    return tuple(draw(st.lists(st.integers(0, field.q - 1).map(field.element), min_size=d, max_size=d))) + (
+        field.one,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_factor_matches_exhaustive_oracle_property(data):
+    """Random f of degree 1 to top, and g^e h with e = 2 or p: squares and p-th powers."""
     field, top = data.draw(st.sampled_from(FACTOR_FIELDS))
-    digits = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=top))
-    f = tuple(field.element(i) for i in digits) + (field.one,)
+    if data.draw(st.booleans()):
+        f = monic_of_degree(data.draw, field, data.draw(st.integers(1, top)))
+    else:
+        e = data.draw(st.sampled_from([2, field.p]))
+        dg = data.draw(st.integers(1, max(1, top // e)))
+        g = monic_of_degree(data.draw, field, dg)
+        h = monic_of_degree(data.draw, field, data.draw(st.integers(0, max(0, top - e * dg))))
+        f = ffpoly.mul(field, ffpoly.pow_(field, g, e), h)
     assert Counter(dict(ffpoly.factor_monic(field, f, seed=data.draw(st.integers(0, 99))))) == (
         factor_exhaustive(field, f)
     )
+
+
+def factor_by_tuple_stages(field, f, seed):
+    """The stages composed directly on tuples: the reference for the packed path."""
+    rng = random.Random(seed)
+    out = []
+    for part, m in ffpoly.squarefree_decomposition(field, f):
+        for prod, d in ffpoly.distinct_degree_split(field, part):
+            out += [(irr, m) for irr in ffpoly.equal_degree_split(field, prod, d, rng)]
+    return tuple(sorted(out, key=lambda fm: ffpoly.sort_key(field, fm[0])))
+
+
+def multiply_back(field, factors):
+    prod = (field.one,)
+    for g, m in factors:
+        prod = ffpoly.mul(field, prod, ffpoly.pow_(field, g, m))
+    return prod
+
+
+LARGE_PRIMES = [65537, 2**61 - 1, 2**127 - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_factorization_matches_tuple_stages_at_large_primes(data):
+    field = PrimeField(data.draw(st.sampled_from(LARGE_PRIMES)))
+    f = (field.one,)
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = monic_of_degree(data.draw, field, data.draw(st.integers(1, 3)))
+        f = ffpoly.mul(field, f, ffpoly.pow_(field, g, data.draw(st.integers(1, 2))))
+    seed = data.draw(st.integers(0, 99))
+    got = ffpoly.factor_monic(field, f, seed=seed)
+    assert got == factor_by_tuple_stages(field, f, seed)
+    assert multiply_back(field, got) == f
+
+
+def test_packed_factorization_of_degree_64_at_the_largest_prime():
+    # 62 distinct linear factors times x^2 + 1, irreducible as p = 3 mod 4: the first
+    # Frobenius power multiplies residues of degree 63 with coefficients up to p - 1
+    field = PrimeField(2**127 - 1)
+    rng = random.Random(64)
+    roots = {rng.randrange(field.p) for _ in range(62)}
+    want = [((field.neg(c), 1), 1) for c in roots] + [((1, 0, 1), 1)]
+    f = multiply_back(field, want)
+    assert ffpoly.deg(f) == 64
+    got = ffpoly.factor_monic(field, f, seed=0)
+    assert got == tuple(sorted(want, key=lambda fm: ffpoly.sort_key(field, fm[0])))
+    assert multiply_back(field, got) == f
 
 
 POW_MOD_PRIMES = [2, 3, 5, 13, 101, 2**61 - 1, 2**127 - 1]
@@ -196,6 +257,77 @@ def test_pow_mod_extension_fields_keep_the_tuple_loop(case):
     field, a, n, m = case
     with patch.object(ffpoly, "_pow_mod_prime", side_effect=AssertionError("packed path taken")):
         assert ffpoly.pow_mod(field, a, n, m) == pow_mod_oracle(field, a, n, m)
+
+
+@pytest.mark.parametrize("p", POW_MOD_PRIMES + [65537])
+def test_packed_reduction_covers_every_slot_below_its_bound(p):
+    """One pass reduces 2 n slots holding any value below 2^b, b = bits(2 n p^2)."""
+    rng = random.Random(p)
+    for n in (1, 8, 64):
+        P = ffpoly._Packed(PrimeField(p), n)
+        b, s = P._shift - p.bit_length(), P._width
+        assert 2 * n * p * p < 1 << b  # the bound that every slot stays below
+        for values in ([(1 << b) - 1] * 2 * n, [rng.randrange(1 << b) for _ in range(2 * n)]):
+            x = sum(v << i * s for i, v in enumerate(values))
+            assert P.unpack(P._reduce(x)) == ffpoly.trim(P.field, [v % p for v in values])
+
+
+def test_packed_product_and_division_at_the_slot_bound():
+    # u v = -1 mod p with u and v close to p: slot 63 of the product is near 64 p^2, every
+    # quotient digit of the division by x^64 + 1 is near p, and each adds about p^2 to it
+    field = PrimeField(2**127 - 1)
+    p = field.p
+    u, v = p - 2 * (2**63 - 1), p - (2**63 + 1)
+    assert u * v % p == p - 1
+    a, b, m = (u,) * 64, (v,) * 64, (1,) + (0,) * 63 + (1,)
+    P = ffpoly._Packed(field, 64)
+    got = P.unpack(P.mulmod(P.pack(a), P.pack(b), P.pack(m)))
+    assert got == ffpoly.rem(field, ffpoly.mul(field, a, b), m)
+
+
+@st.composite
+def gcd_cases(draw):
+    """(field, a, b) over F_p: a = c u and b = c v with a common factor c, or zero."""
+    field = PrimeField(draw(st.sampled_from(POW_MOD_PRIMES)))
+    elem = st.integers(0, field.q - 1).map(field.element)
+
+    def poly(top):
+        return ffpoly.trim(field, draw(st.lists(elem, max_size=top + 1)))
+
+    c = poly(3) or (field.one,)
+    return field, ffpoly.mul(field, c, poly(6)), ffpoly.mul(field, c, poly(6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_cases())
+def test_packed_gcd_and_egcd_match_tuples(case):
+    field, a, b = case
+    tuples = ffpoly._Tuples(field)
+    g = ffpoly.gcd(field, a, b)
+    assert g == tuples.gcd(a, b)
+    d, s, t = ffpoly.egcd(field, a, b)
+    assert (d, s, t) == tuples.egcd(a, b)
+    assert d == g
+    assert ffpoly.add(field, ffpoly.mul(field, s, a), ffpoly.mul(field, t, b)) == g
+    if ffpoly.deg(a) > ffpoly.deg(g) and ffpoly.deg(b) > ffpoly.deg(g):
+        assert ffpoly.deg(s) < ffpoly.deg(b) - ffpoly.deg(g)
+        assert ffpoly.deg(t) < ffpoly.deg(a) - ffpoly.deg(g)
+
+
+def test_extension_fields_never_pack():
+    rng = random.Random(10)
+    extensions = (extension_field(2, 2), extension_field(3, 2))  # built over F_p, on the packed path
+    with patch.object(ffpoly, "_Packed", side_effect=AssertionError("packed path taken")):
+        for field in extensions:
+            for _ in range(20):
+                f = rand_poly(field, rng, 5, monic=True)
+                if ffpoly.deg(f) < 1:
+                    continue
+                g = rand_poly(field, rng, 4)
+                assert multiply_back(field, ffpoly.factor_monic(field, f, seed=0)) == f
+                ffpoly.is_irreducible(field, f)
+                assert ffpoly.gcd(field, f, g) == ffpoly.egcd(field, f, g)[0]
+                ffpoly.pow_mod(field, g, field.q, f)
 
 
 def test_pow_mod_takes_the_packed_path_over_prime_fields():

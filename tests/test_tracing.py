@@ -31,6 +31,7 @@ def test_recorder_installs_fires_and_uninstalls():
     patched = {(module.__name__, attr): getattr(module, attr) for module, attr, _ in undo}
     try:
         maxorder.verify_valuation_identities((1, 1, 1, 1, 1), ValuedBase.rational(5))
+        maxorder.dedekind_verdict((-2, 0, 1), ValuedBase.rational(7))  # x^2 - 2 = (x - 3)(x - 4) mod 7
         with pytest.raises(ReduciblePolynomialError, match="zero discriminant"):
             maxorder.dedekind_verdict((1, -2, 1), ValuedBase.rational(3))  # (x - 1)^2
         b9 = ValuedBase.function_field(3, 2, ((0, 0), (1, 0)))
@@ -42,7 +43,7 @@ def test_recorder_installs_fires_and_uninstalls():
         "criterion.screen", "criterion.discriminant", "rings.resultant.screen",
         "residue.factorization", "criterion.classical", "criterion.remainder",
         "hensel.lift", "hensel.auto_precision", "hensel.cross_resultant",
-        "hensel.root_valuation", "rings.resultant.hensel", "ffpoly.sqf",
+        "hensel.root_valuation", "rings.resultant.hensel", "ffpoly.sqf", "ffpoly.ddf", "ffpoly.edf",
     } <= rec.fired()
     assert rec.counts["criterion.screen.candidates"] > 0
     for module, attr, orig in undo:
