@@ -168,7 +168,7 @@ def _fq_root_candidates(g, base, place):
         m = 1
         while m < need:  # r is a root and s is 1/g'(r) mod prime^m
             m = min(2 * m, need)
-            T = aux.truncated(m, need)
+            T = aux.truncated(m)
             r = T.sub(r, T.mul(ffpoly.evaluate(T, [T.mod(a) for a in g], r), s))
             if m < need:
                 d = ffpoly.evaluate(T, [T.mod(a) for a in dg], r)
@@ -236,29 +236,31 @@ def classical_check(f, base, rf):
     integrally closed iff gcd(T_bar, g*_bar, h*_bar) = 1.
 
     Only T_bar = T mod prime enters, and it depends only on g* h* - f
-    modulo prime^2. So the products are taken in R/prime^2
-    (``truncated(2)``) where that ring packs a whole polynomial into one
-    int, Z/p^2 for p below 2^64 and F_p[t]/t^2 for small p, and each
-    product is one int product. On tuples over F_q[t], reducing every
-    coefficient costs more than it saves on the small canonical lifts,
-    and the products stay exact in R. T_bar is read off the
-    representatives of g* h* - f by ``reduce_over_prime``. The gcd with
-    h*_bar comes first: when f_bar is squarefree, h*_bar = 1 and the
-    gcd of degree deg f with g*_bar is never taken.
+    modulo prime^2. So the products are taken over R/prime^2
+    (``polys(2, 2, len f)``) where a polynomial there is one int, over
+    Z/p^2 for p below 2^64 and F_p[t]/t^2 for small p, and each product
+    is one int product. On tuples, reducing every coefficient costs more
+    than it saves on the small canonical lifts, and the products stay
+    exact in R. T_bar is read off the representatives of g* h* - f by
+    ``reduce_over_prime``. h*_bar is the product over the repeated
+    factors only, and the gcd with it comes first: when f_bar is
+    squarefree, h*_bar = 1 and the gcd of degree deg f with g*_bar is
+    never taken.
     """
     ring = base.ring
     field = base.residue_field
-    R = ring.truncated(2, length=len(f))
-    if not R.packs_polynomials:
-        R = ring
-    gstar = R.poly_one
+    P = ring.polys(2, 2, len(f))
+    if isinstance(P, rings._QuotientTuples):
+        P = ffpoly._Tuples(ring)
+    gstar = P.one
     for phi in rf.lifts:
-        gstar = R.poly_mul(gstar, R.poly_mod(phi))
+        gstar = P.mul(gstar, P.pack(phi))
     hbar = (field.one,)
-    for phibar, l in rf.factors:
+    for i in rf.repeated_indices:
+        phibar, l = rf.factors[i]
         hbar = ffpoly.mul(field, hbar, ffpoly.pow_(field, phibar, l - 1))
-    hstar = R.poly_mod(rings.lift_residue_poly(hbar, base))
-    diff = R.poly_to_ring(R.poly_sub(R.poly_mul(gstar, hstar), R.poly_mod(f)))
+    hstar = P.pack(rings.lift_residue_poly(hbar, base))
+    diff = P.unpack(P.sub(P.mul(gstar, hstar), P.pack(f)))
     if diff and gauss_valuation(diff, base) < 1:
         raise InternalInvariantError(
             "g* h* does not reduce to the residue factorization"
@@ -266,7 +268,7 @@ def classical_check(f, base, rf):
     tbar = ffpoly.trim(field, [ring.reduce_over_prime(c) for c in diff])
     one = (field.one,)
     g1 = ffpoly.gcd(field, hbar, tbar)
-    return g1 == one or ffpoly.gcd(field, g1, reduce_mod(R.poly_to_ring(gstar), base)) == one
+    return g1 == one or ffpoly.gcd(field, g1, reduce_mod(P.unpack(gstar), base)) == one
 
 
 def dedekind_verdict(f, base, seed=0, *, assume_irreducible=False, lifts=None, _rf=None):

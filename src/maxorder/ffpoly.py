@@ -18,16 +18,18 @@ additive-trace variant in characteristic 2. Irreducibility testing is
 Rabin's criterion.
 
 Each stage, Euclid and Rabin's test are written once, against a domain
-of polynomial ops (``_Polys``), in one of two representations. Over a
-prime field F_p a polynomial is one Kronecker-packed int (``_Packed``):
-a product is one int product, a division reads one top slot per
-quotient digit, and one multiply-shift-mask pass reduces every slot mod
-p at once; the slots are wide enough that none carries into the next
-for any p, as its docstring shows. ``factor_monic``, ``is_irreducible``,
-``gcd``, ``egcd`` and ``pow_mod`` over F_p pack their inputs once and
-unpack the results once, and the stages pass packed ints between them.
-Over other fields they run on the tuples (``_Tuples``), and so does
-everything else, over fields and rings alike.
+of polynomial ops (``_Polys``), in one of two representations. Over
+Z/p^m, and so over a prime field F_p (m = 1), a polynomial is one
+Kronecker-packed int (``_Packed``): a product is one int product, a
+division reads one top slot per quotient digit, and one
+multiply-shift-mask pass reduces every slot mod p^m at once; the slots
+are wide enough that none carries into the next for any p, as its
+docstring shows. ``factor_monic``, ``is_irreducible``, ``gcd``, ``egcd``
+and ``pow_mod`` over F_p pack their inputs once and unpack the results
+once, and the stages pass packed ints between them. Over other fields
+they run on the tuples (``_Tuples``), and so does everything else, over
+fields and rings alike. The Hensel lift and the classical check take
+the same ops over the quotients R/prime^m, from ``rings``.
 """
 
 import random
@@ -149,7 +151,7 @@ def gcd(field, a, b):
     """The monic gcd; 1 without a division when a or b is a nonzero constant."""
     if len(a) == 1 or len(b) == 1:
         return (field.one,)
-    P = _polys(field, max(len(a), len(b)) - 1)
+    P = _polys(field, max(len(a), len(b)))
     return P.unpack(P.gcd(P.pack(a), P.pack(b)))
 
 
@@ -159,7 +161,7 @@ def egcd(field, a, b):
     The cofactors carry the usual minimal degree bounds, so they can be
     used directly as Bezout data for lifting.
     """
-    P = _polys(field, max(len(a), len(b)) - 1)
+    P = _polys(field, max(len(a), len(b)))
     return tuple(map(P.unpack, P.egcd(P.pack(a), P.pack(b))))
 
 
@@ -170,12 +172,12 @@ def pow_mod(field, a, n, m):
     exponentiation (``_pow_mod_prime``): a square or a product is one
     int product, and its division by m is lazy, leaving every slot
     unreduced until one pass reduces the remainder. ``_Packed`` bounds
-    every slot below 2 n p^2 for polynomials of degree at most n, so no
-    slot carries for any p. Other fields and rings run the loop on
-    tuples.
+    every slot below 2 length p^2 for polynomials of at most length
+    coefficients, so no slot carries for any p. Other fields and rings
+    run the loop on tuples.
     """
     if isinstance(field, fields.PrimeField):
-        P = _Packed(field, max(len(a), len(m)) - 1)
+        P = _Packed(field, max(len(a), len(m)))
         return P.unpack(_pow_mod_prime(P, P.pack(a), n, P.pack(m)))
     out = rem(field, (field.one,), m)
     a = rem(field, a, m)
@@ -247,11 +249,10 @@ class _Polys:
 
 
 class _Tuples(_Polys):
-    """``_Polys`` on the trimmed tuples of this module, over any field."""
+    """``_Polys`` on the trimmed tuples of this module, over any field or ring."""
 
     def __init__(self, field):
         self.field = field
-        self.p, self.q = field.p, field.q
         self.zero, self.one, self.x = (), (field.one,), x_poly(field)
 
     def pack(self, a):
@@ -298,50 +299,51 @@ class _Tuples(_Polys):
 
 
 class _Packed(_Polys):
-    """Polynomials of degree at most n over F_p, each packed into one int.
+    """Polynomials of at most ``length`` coefficients over Z/p^m, each packed into one int.
 
-    Slot i, the s bits from bit i s on, holds the x^i coefficient.
-    Between ops every slot holds its coefficient in [0, p), so the
-    degree is bit_length // s and the leading coefficient is the top
-    slot. Within an op a slot holds some value congruent to it mod p,
-    and that value stays below 2 n p^2 < 2^b, b = bits(2 n p^2):
+    F_p is m = 1. Slot i, the s bits from bit i s on, holds the x^i
+    coefficient. Between ops every slot holds its representative in
+    [0, p^m), so the degree is bit_length // s and the leading
+    coefficient is the top slot. Within an op a slot holds some value
+    congruent to it, and that value stays below 2 length p^(2 m):
 
-    - A slot of a product sums at most n products of two residues, so
-      it is below n p^2: every product here has a factor with at most n
-      coefficients. The powers multiply residues modulo a divisor of
-      degree at most n, egcd a quotient and a cofactor whose degrees
-      sum to at most n, and ``scale`` a polynomial by a constant.
-    - A division by b of degree e <= n reads one top slot per quotient
-      digit c < p and adds c times the packed p - b_j, each at most p,
-      to the e slots below it; the slots it has read are dropped at the
-      end. A slot lies below at most e top slots, so the division adds
-      less than n p^2 to it.
-    - A sum is below 2 p, and a difference a - b is taken as
-      a + p ONES - b, below 2 p and positive in every slot.
+    - A slot of a product sums at most length products of two
+      representatives, so it is below length p^(2 m).
+    - A division by b of degree e <= length, whose leading coefficient
+      is a unit, reads one top slot per quotient digit c < p^m and adds
+      c times the packed p^m - b_j, each at most p^m, to the e slots
+      below it; the slots it has read are dropped at the end. A slot
+      lies below at most e top slots, so a dividend that is a product
+      stays below 2 length p^(2 m).
+    - A sum is below 2 p^m, and a difference a - b is taken as
+      a + p^m ONES - b, below 2 p^m and positive in every slot.
 
-    So no slot ever carries into the next, for any p. One pass then
-    reduces every slot (Granlund-Montgomery 1994, as in
-    ``rings.PackedIntegersModPrimePow``): with s = 2 b + 1,
-    k = b + bits(p) and M = ceil(2^k / p) <= 2^(b + 1), a slot v < 2^b
-    has v M < 2^s, and floor(v M / 2^k) = floor(v / p) because
-    v (M p - 2^k) / (p 2^k) < 2^(b - k) < 1 / p. The result is
-    x - p ((x M >> k) & Q), with Q the s - k low bits of every slot. A
-    product has degree at most 2 n - 2, so ONES, a 1 at the start of
-    each of 2 n slots, is (2^(2 n s) - 1) / (2^s - 1). The layout is
-    built per instance from these closed forms, for any p and n.
+    The widths follow the precision ``top`` >= m that a lift doubles m
+    up to, with b = bits(2 length p^(2 top)), so every slot stays below
+    2^b at each m, no slot ever carries into the next, and an int
+    packed at a higher precision is packed here too. One pass then
+    reduces every slot mod p^m (Granlund-Montgomery 1994): with
+    s = 2 b + 1, k = b + bits(p^m) and M = ceil(2^k / p^m) <= 2^(b + 1),
+    a slot v < 2^b has v M < 2^s, and floor(v M / 2^k) = floor(v / p^m)
+    because v (M p^m - 2^k) / (p^m 2^k) < 2^(b - k) < 1 / p^m. The
+    result is x - p^m ((x M >> k) & Q), with Q the s - k low bits of
+    every slot. A product has at most 2 length - 1 slots, so ONES, a 1
+    at the start of each of 2 length slots, is
+    (2^(2 length s) - 1) / (2^s - 1). The layout is built per instance
+    from these closed forms, for any p, m and length.
     """
 
-    def __init__(self, field, n):
-        n = max(n, 1)
-        p = field.p
-        self.field, self.p, self.q = field, p, p
-        b = (2 * n * p * p).bit_length()
+    def __init__(self, field, length, m=1, top=1):
+        p, length = field.p, max(length, 1)  # the gcd of two zeros has no coefficient
+        self.field = field
+        self.modulus = n = p ** m
+        b = (2 * length * p ** (2 * max(m, top))).bit_length()
         self._width = s = 2 * b + 1
-        self._shift = k = b + p.bit_length()
-        self._magic = -(-(1 << k) // p)
-        ones = ((1 << 2 * n * s) - 1) // ((1 << s) - 1)
+        self._shift = k = b + n.bit_length()
+        self._magic = -(-(1 << k) // n)
+        ones = ((1 << 2 * length * s) - 1) // ((1 << s) - 1)
         self._quotient_mask = ((1 << s - k) - 1) * ones
-        self._p_ones = p * ones
+        self._p_ones = n * ones
         self.zero, self.one, self.x = 0, 1, 1 << s
 
     # Pairs (packed factor, multiplicity) sort as they are: ints compare by bit length, so
@@ -349,12 +351,15 @@ class _Packed(_Polys):
     order = None
 
     def _reduce(self, x):
-        return x - self.p * (x * self._magic >> self._shift & self._quotient_mask)
+        return x - self.modulus * (x * self._magic >> self._shift & self._quotient_mask)
 
     def pack(self, a):
-        s, x = self._width, 0
+        """A tuple over Z, or an int packed at a higher precision, reduced mod p^m."""
+        if isinstance(a, int):
+            return self._reduce(a)
+        s, n, x = self._width, self.modulus, 0
         for c in reversed(a):
-            x = x << s | c
+            x = x << s | c % n
         return x
 
     def unpack(self, a):
@@ -394,21 +399,21 @@ class _Packed(_Polys):
         """
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        s, p = self._width, self.p
+        s, n = self._width, self.modulus
         ds = b.bit_length() // s * s
         low = (1 << ds) - 1
-        inv = pow(b >> ds, -1, p)
+        inv = pow(b >> ds, -1, n)
         negb = (self._p_ones & low) - (b & low)
         mask = (1 << s) - 1
         q = 0
         for j in range(a.bit_length() // s * s - ds, -1, -s):
-            c = (a >> j + ds & mask) * inv % p
+            c = (a >> j + ds & mask) * inv % n
             if c:
                 if quotient:
                     q |= c << j
                 a += c * negb << j
         a &= low
-        r = a - p * (a * self._magic >> self._shift & self._quotient_mask)  # ``_reduce`` inline: one call fewer per Euclid step
+        r = a - n * (a * self._magic >> self._shift & self._quotient_mask)  # ``_reduce`` inline: one call fewer per Euclid step
         return (q, r) if quotient else r
 
     def mulmod(self, a, b, m):
@@ -418,14 +423,14 @@ class _Packed(_Polys):
         return _pow_mod_prime(self, a, n, m)
 
     def derivative(self, a):
-        s, p = self._width, self.p
+        s, n = self._width, self.modulus
         out = 0
         for i in range(a.bit_length() // s, 0, -1):
-            out = out << s | (a >> i * s & (1 << s) - 1) * i % p
+            out = out << s | (a >> i * s & (1 << s) - 1) * i % n
         return out
 
     def pth_root(self, a):
-        s, p = self._width, self.p
+        s, p = self._width, self.field.p
         out = 0
         for i in range(a.bit_length() // s, -1, -1):
             c = a >> i * s & (1 << s) - 1
@@ -436,9 +441,9 @@ class _Packed(_Polys):
         return out
 
 
-def _polys(field, n):
-    """The ops for polynomials of degree at most n over the field: packed over F_p."""
-    return _Packed(field, n) if isinstance(field, fields.PrimeField) else _Tuples(field)
+def _polys(field, length):
+    """The ops for polynomials of at most ``length`` coefficients over the field: packed over F_p."""
+    return _Packed(field, length) if isinstance(field, fields.PrimeField) else _Tuples(field)
 
 
 def _domain(field):
@@ -493,7 +498,7 @@ def squarefree_decomposition(field, f):
         i += 1
     if P.deg(c) > 0:
         for part, m in squarefree_decomposition(P, P.pth_root(c)):
-            out.append((part, m * P.p))
+            out.append((part, m * P.field.p))
     return tuple(out)
 
 
@@ -506,7 +511,7 @@ def distinct_degree_split(field, f):
     d = 0
     while 2 * (d + 1) <= P.deg(f):
         d += 1
-        h = P.pow_mod(h, P.q, f)
+        h = P.pow_mod(h, P.field.q, f)
         g = P.gcd(f, P.sub(h, x))
         if P.deg(g) > 0:
             out.append((g, d))
@@ -528,13 +533,13 @@ def equal_degree_split(field, f, d, rng):
     n = P.deg(f)
     if n == d:
         return [f]
-    q = P.q
+    q = P.field.q
     while True:
         r = P.random_nonconstant(rng, n - 1)
         g = P.gcd(f, r)
         if 0 < P.deg(g) < n:
             break
-        if P.p == 2:
+        if P.field.p == 2:
             m = q.bit_length() - 1
             acc = h = P.rem(r, f)
             for _ in range(m * d - 1):
@@ -563,7 +568,7 @@ def factor_monic(field, f, seed=0):
     tuple of (factor, multiplicity) pairs is sorted canonically, so the
     output does not depend on the seed.
     """
-    P = _polys(field, len(f) - 1)
+    P = _polys(field, len(f))
     rng = None
     out = []
     for part, m in squarefree_decomposition(P, P.pack(f)):
@@ -599,12 +604,12 @@ def is_irreducible(field, f):
         return False
     if n == 1:
         return True
-    P = _polys(field, n)
+    P = _polys(field, n + 1)
     f = P.pack(f)
     checkpoints = {n // r for r in _prime_divisors(n)}
     h = P.rem(P.x, f)
     for i in range(1, n + 1):
-        h = P.pow_mod(h, P.q, f)
+        h = P.pow_mod(h, P.field.q, f)
         if i in checkpoints and P.deg(P.gcd(f, P.sub(h, P.x))) != 0:
             return False
     return h == P.x

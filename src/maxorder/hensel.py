@@ -4,10 +4,10 @@ The reduction f_bar = prod phibar_i^(l_i) is a coprime factorization
 into the branch reductions phibar_i^(l_i), so it lifts to a branch
 factorization f = prod F_i modulo any power of the prime, computed in
 R/prime^k and checked branch by branch in the residue field. The lift
-uses only the polynomial ops of ``truncated(m, k, len f)``: one int per
-polynomial over Z/p^k below 2^128 and F_p[t]/t^k for small p, where a
-product is one int product and one reduction pass, and ``ffpoly`` on
-tuples over the other quotients.
+uses only the polynomial ops that ``polys(m, k, len f)`` of the base's
+ring gives: one int per polynomial over Z/p^m for p^k below 2^128 and
+over F_p[t]/t^m for small p, where a product is one int product and
+one reduction pass, and tuples over the other quotients.
 
 Quantities read off a branch F_i, such as the valuation of a resultant
 against the lift phi_i, are exact whenever they come out strictly below
@@ -55,36 +55,36 @@ def _lift_pair(fk, gbar, hbar, base, k, length):
 
     Quadratic iteration; each round doubles the precision m, up to k,
     and computes in R/prime^m only, with the polynomial ops of
-    ``truncated(m, k, length)``. Both factors stay monic, the h-update
+    ``polys(m, k, length)``. Both factors stay monic, the h-update
     follows the classical correction by the remainder of s*e, and g is
     recovered as the exact quotient of f by the monic h, which pins its
     degree and leading coefficient. The Bezout pair is updated after
     every round but the last; its cofactor degrees stay below the
-    opposite factor. Every round's ring has the representation of
-    R/prime^k, so g, h, s and t are mapped into it once, here.
+    opposite factor. Every round's ops share the representation of
+    R/prime^k, so g, h, s and t are packed once, here.
     """
     field = base.residue_field
     d, sbar, tbar = ffpoly.egcd(field, gbar, hbar)
     if d != (field.one,):
         raise InternalInvariantError("branch reductions are not coprime")
-    top = base.ring.truncated(k, length=length)
-    g, h, s, t = (top.poly_mod(rings.lift_residue_poly(u, base)) for u in (gbar, hbar, sbar, tbar))
+    top = base.ring.polys(k, k, length)
+    g, h, s, t = (top.pack(rings.lift_residue_poly(u, base)) for u in (gbar, hbar, sbar, tbar))
     m = 1
     while m < k:
         m = min(2 * m, k)
-        R = base.ring.truncated(m, k, length)
-        f = R.poly_mod(fk)
-        e = R.poly_sub(f, R.poly_mul(g, h))
-        h = R.poly_add(h, R.poly_divmod(R.poly_mul(s, e), h)[1])
-        g, rem = R.poly_divmod(f, h)
+        P = base.ring.polys(m, k, length)
+        f = P.pack(fk)
+        e = P.sub(f, P.mul(g, h))
+        h = P.add(h, P.divmod(P.mul(s, e), h)[1])
+        g, rem = P.divmod(f, h)
         if rem:
             raise InternalInvariantError("corrected factor does not divide at precision")
         if m == k:
             break
-        b = R.poly_sub(R.poly_add(R.poly_mul(s, g), R.poly_mul(t, h)), R.poly_one)
-        c, dd = R.poly_divmod(R.poly_mul(s, b), h)
-        s = R.poly_sub(s, dd)
-        t = R.poly_sub(R.poly_sub(t, R.poly_mul(t, b)), R.poly_mul(c, g))
+        b = P.sub(P.add(P.mul(s, g), P.mul(t, h)), P.one)
+        c, dd = P.divmod(P.mul(s, b), h)
+        s = P.sub(s, dd)
+        t = P.sub(P.sub(t, P.mul(t, b)), P.mul(c, g))
     return g, h
 
 
@@ -108,17 +108,17 @@ def hensel_lift(f, rf, base, k):
     if k < 1:
         raise InputError("precision must be at least 1")
     field = base.residue_field
-    R = base.ring.truncated(k, length=len(f))
-    fk = R.poly_mod(f)
+    P = base.ring.polys(k, k, len(f))
+    fk = P.pack(f)
     powers = tuple(ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors)
     factors = _lift_tree(fk, powers, base, k, len(f))
-    prod = R.poly_one
+    prod = P.one
     for F in factors:
-        prod = R.poly_mul(prod, F)
+        prod = P.mul(prod, F)
     if prod != fk:
         raise InternalInvariantError("lifted branches do not multiply back to f")
     return LiftedFactorization(
-        precision=k, factors=tuple(map(R.poly_to_ring, factors)), rf=rf, powers=powers
+        precision=k, factors=tuple(map(P.unpack, factors)), rf=rf, powers=powers
     )
 
 

@@ -14,20 +14,21 @@ and its degree is the MINUS_INF sentinel. Their arithmetic is ``ffpoly``'s,
 with the ring passed as the coefficient domain. Valuations of zero are
 the INF sentinel.
 
-The quotients R/prime^m that Hensel lifting, Newton's method and the
-classical check compute in, from ``truncated(m)``, have their own
-elements: ints 0 <= a < p^m for Z, and trimmed tuples of t-degree below
-m deg pi for F_q[t], except at pi = t over a prime field F_p with
-m (p - 1)^2 < 256, where an element is one int with byte j the
-coefficient of t^j (``PackedTruncatedRing``). ``mod`` maps into a
-quotient and ``to_ring`` maps back. Each quotient, and each global
-ring, also supplies the polynomial ops in x that those computations use
-(``poly_mul``, ``poly_divmod`` by a monic divisor, ``poly_mod``,
-``poly_to_ring``, ...). They are ``ffpoly``'s on tuples of elements,
-except over ``PackedPolynomialRing`` and ``PackedIntegersModPrimePow``,
-asked for with ``truncated(m, top, length)``, where a polynomial is not
-a tuple but one int: slot i holds the x^i coefficient, and a sum, a
-difference or a product is one int operation and one reduction pass.
+The quotients R/prime^m come in two forms. ``truncated(m)`` is the
+element ring, which Newton's method in the screen computes in: ints
+0 <= a < p^m for Z, and trimmed tuples of t-degree below m deg pi for
+F_q[t]; ``mod`` maps into it and ``to_ring`` maps back.
+``polys(m, top, length)`` gives the ops of ``ffpoly._Polys`` (``pack``,
+``unpack``, ``add``, ``sub``, ``mul``, ``divmod`` by a monic divisor,
+``one``) on polynomials in x over R/prime^m of at most ``length``
+coefficients, which the Hensel lift and the classical check use. There
+a polynomial is one int where it can be, so that a sum, a difference or
+a product is one int operation and one reduction pass: over Z/p^m while
+p^top < 2^128 (``ffpoly._Packed``), and over F_p[t]/t^m for small p
+(``PackedPolynomialRing``). Elsewhere it is a tuple of elements
+(``_QuotientTuples``). The layout follows the precision ``top`` that a
+lift doubles m up to, so a polynomial keeps its int from one precision
+to the next.
 """
 
 import functools
@@ -43,52 +44,7 @@ from .ffpoly import MINUS_INF
 INF = math.inf
 
 
-class _PolyOps:
-    """Polynomials in x over a ring, as ``ffpoly`` tuples of its elements.
-
-    Every quotient R/prime^m supplies these ops, which is what lets the
-    Hensel lift run one loop body over each representation; a ring that
-    packs whole polynomials (``PackedPolynomialRing``,
-    ``PackedIntegersModPrimePow``) overrides them.
-    """
-
-    packs_polynomials = False
-
-    @property
-    def poly_one(self):
-        return (self.one,)
-
-    def poly_mod(self, P):
-        """The image of a polynomial over R, or over this ring at a higher precision."""
-        return ffpoly.trim(self, [self.mod(c) for c in P])
-
-    def poly_to_ring(self, P):
-        return tuple(map(self.to_ring, P))
-
-    def poly_add(self, a, b):
-        return ffpoly.add(self, a, b)
-
-    def poly_sub(self, a, b):
-        return ffpoly.sub(self, a, b)
-
-    def poly_mul(self, a, b):
-        return ffpoly.mul(self, a, b)
-
-    def poly_divmod(self, a, h):
-        """Quotient and remainder by a monic h."""
-        return ffpoly.divmod_(self, a, h)
-
-
-class _ExactRing(_PolyOps):
-    """A global ring R supplies the same ops, on exact coefficients."""
-
-    def poly_mod(self, P):
-        return P
-
-    poly_to_ring = poly_mod
-
-
-class IntegerRing(_ExactRing):
+class IntegerRing:
     """Z carrying the p-adic valuation data."""
 
     kind = "Q"
@@ -101,7 +57,7 @@ class IntegerRing(_ExactRing):
         self.one = 1
         self.prime_element = p
         self.residue_field = PrimeField(p)
-        self._truncated = {}
+        self._quotients = {}
         self.add, self.sub, self.neg, self.mul, self.is_zero, self.elem_pow = (
             operator.add, operator.sub, operator.neg, operator.mul, operator.not_, pow
         )
@@ -122,19 +78,25 @@ class IntegerRing(_ExactRing):
             v += 1
         return v
 
-    def truncated(self, m, top=None, length=None):
-        """Z/p^m, built once per m and representation: with ``length``, a polynomial of
-        at most that many coefficients is one int while p^top < 2^128
-        (``PackedIntegersModPrimePow``, ``top`` as in ``FunctionRing.truncated``), else a tuple."""
-        top = m if top is None else top
-        # p^top has more than top (bits(p) - 1) bits, so the power is taken only if it may fit
-        packs = length is not None and top * (self.p.bit_length() - 1) < 128 and self.p ** top < 1 << 128
-        key = (m, top, length) if packs else m
-        R = self._truncated.get(key)
+    def truncated(self, m):
+        """Z/p^m, built once per m."""
+        R = self._quotients.get(m)
         if R is None:
-            R = PackedIntegersModPrimePow(self.p, m, top, length) if packs else IntegersModPrimePow(self.p ** m)
-            self._truncated[key] = R
+            R = self._quotients[m] = IntegersModPrimePow(self.p ** m)
         return R
+
+    def polys(self, m, top, length):
+        """Polynomials over Z/p^m, one int each while p^top < 2^128; built once per (m, top, length)."""
+        key = (m, top, length)
+        P = self._quotients.get(key)
+        if P is None:
+            # p^top has more than top (bits(p) - 1) bits, so the power is taken only if it may fit
+            if top * (self.p.bit_length() - 1) < 128 and self.p ** top < 1 << 128:
+                P = ffpoly._Packed(self.residue_field, length, m, top)
+            else:
+                P = _QuotientTuples(self.truncated(m))
+            self._quotients[key] = P
+        return P
 
     def reduce(self, a):
         return a % self.p
@@ -150,7 +112,7 @@ class IntegerRing(_ExactRing):
         return n
 
 
-class FunctionRing(_ExactRing):
+class FunctionRing:
     """F_q[t] carrying the pi-adic valuation data."""
 
     kind = "Fq"
@@ -173,7 +135,7 @@ class FunctionRing(_ExactRing):
         self.one = (field.one,)
         self.prime_element = pi
         self._packs = self._pi_is_t and isinstance(field, PrimeField)
-        self._truncated = {}
+        self._quotients = {}
         if d == 1:
             self.residue_field = field
             self._pi_root = field.neg(pi[0])
@@ -207,34 +169,25 @@ class FunctionRing(_ExactRing):
             a = q
             v += 1
 
-    def truncated(self, m, top=None, length=None):
-        """F_q[t]/pi^m, built once per m and representation.
-
-        At pi = t over a prime field F_p, an element is packed into one
-        int when m (p - 1)^2 < 256, and with ``length`` a whole polynomial
-        in x of at most that many coefficients is, when
-        length m (p - 1)^2 + p - 1 < 256; elements and polynomials are
-        tuples otherwise. With ``top`` >= m the choice is made for
-        precision top instead, so that a computation that doubles m up to
-        top keeps one representation and carries its values from one
-        precision to the next unchanged.
-        """
-        top = m if top is None else top
-        square = (self.p - 1) ** 2
-        if self._packs and length is not None and length * top * square + self.p - 1 < 256:
-            key = (m, top, length)
-        else:
-            key = (m, self._packs and top * square < 256)
-        R = self._truncated.get(key)
+    def truncated(self, m):
+        """F_q[t]/pi^m, built once per m."""
+        R = self._quotients.get(m)
         if R is None:
-            if len(key) == 3:
-                R = PackedPolynomialRing(self.p, m, top, length)
-            elif key[1]:
-                R = PackedTruncatedRing(self.p, m)
-            else:
-                R = TruncatedFunctionRing(self, m)
-            self._truncated[key] = R
+            R = self._quotients[m] = TruncatedFunctionRing(self, m)
         return R
+
+    def polys(self, m, top, length):
+        """Polynomials over F_q[t]/pi^m, built once per (m, top, length): one int each at pi = t
+        over a prime field F_p when length top (p - 1)^2 + p - 1 < 256, else tuples."""
+        key = (m, top, length)
+        P = self._quotients.get(key)
+        if P is None:
+            if self._packs and length * top * (self.p - 1) ** 2 + self.p - 1 < 256:
+                P = PackedPolynomialRing(self.p, m, top, length)
+            else:
+                P = _QuotientTuples(self.truncated(m))
+            self._quotients[key] = P
+        return P
 
     def reduce(self, a):
         if self.pi_degree == 1:
@@ -263,7 +216,7 @@ class FunctionRing(_ExactRing):
         return ffpoly.constant(self.field, self.field.from_int(n))
 
 
-class IntegersModPrimePow(_PolyOps):
+class IntegersModPrimePow:
     """Z/p^m on the representatives 0 <= a < p^m, as ``ffpoly`` needs it."""
 
     def __init__(self, modulus):
@@ -290,75 +243,7 @@ class IntegersModPrimePow(_PolyOps):
         return a
 
 
-class PackedIntegersModPrimePow(IntegersModPrimePow):
-    """Z/p^m with a whole polynomial in x over it packed into one int.
-
-    Slot i, the s = 2b + 1 bits from bit i s on, holds the x^i coefficient
-    as its representative 0 <= c < p^m after every op. For polynomials of
-    at most ``length`` coefficients, b = bits(4 length p^(2 top)) bounds
-    every slot before an op's last step: a product slot sums at most
-    length products below p^(2m), and a division adds at most length such
-    products to a dividend slot. The widths follow ``top``, so a lift
-    doubling m up to top keeps its ints. The last step takes every slot
-    mod p^m at once (Granlund-Montgomery 1994): with k = b + bits(p^m)
-    and M = ceil(2^k / p^m) <= 2^(b + 1), a slot v < 2^b has v M < 2^s and
-    floor(v M / 2^k) = floor(v / p^m), as v (M p^m - 2^k) < 2^k; so the
-    result is x - p^m ((x M >> k) & Q), with Q the s - k low slot bits.
-    """
-
-    packs_polynomials = True
-    poly_one = 1
-
-    def __init__(self, p, m, top, length):
-        super().__init__(p ** m)
-        b = (4 * length * p ** (2 * top)).bit_length()
-        self._width = s = 2 * b + 1
-        self._shift = k = b + self.modulus.bit_length()
-        self._magic = -(-(1 << k) // self.modulus)
-        ones = sum(1 << i * s for i in range(2 * length))  # a 1 at the start of each of 2 length slots
-        self._quotient_mask = ((1 << s - k) - 1) * ones
-        self._p_ones = self.modulus * ones
-
-    def _reduce(self, x):
-        return x - self.modulus * (x * self._magic >> self._shift & self._quotient_mask)
-
-    def poly_mod(self, P):
-        if isinstance(P, int):
-            return self._reduce(P)
-        s, n = self._width, self.modulus
-        return sum(c % n << i * s for i, c in enumerate(P))
-
-    def poly_to_ring(self, P):
-        s = self._width
-        return tuple(P >> i & (1 << s) - 1 for i in range(0, P.bit_length(), s))
-
-    def poly_add(self, a, b):
-        return self._reduce(a + b)
-
-    def poly_sub(self, a, b):
-        # p^m in every slot up to b's top slot keeps every slot of the difference positive
-        s = self._width
-        return self._reduce(a + (self._p_ones & (1 << -(-b.bit_length() // s) * s) - 1) - b)
-
-    def poly_mul(self, a, b):
-        return self._reduce(a * b)
-
-    def poly_divmod(self, a, h):
-        s, n = self._width, self.modulus
-        ds = (h.bit_length() - 1) // s * s
-        negh = (self._p_ones & (1 << ds) - 1) - (h & (1 << ds) - 1)
-        q = 0
-        for shift in range((a.bit_length() - 1) // s * s, ds - 1, -s):  # the top slot of a
-            c = a >> shift
-            a -= c << shift
-            c %= n
-            if c:
-                q |= c << shift - ds
-                a += c * negh << shift - ds
-        return q, self._reduce(a)
-
-
-class TruncatedFunctionRing(_PolyOps):
+class TruncatedFunctionRing:
     """F_q[t]/pi^m on the representatives of t-degree below m * deg pi.
 
     A product keeps only its terms below t^m at pi = t, and is reduced by
@@ -394,68 +279,30 @@ class TruncatedFunctionRing(_PolyOps):
         return a
 
 
+class _QuotientTuples(ffpoly._Tuples):
+    """Polynomials over a quotient R/prime^m as tuples of its elements."""
+
+    def pack(self, P):
+        """The image of a polynomial over R, or over R/prime^m at a higher precision."""
+        return ffpoly.trim(self.field, [self.field.mod(c) for c in P])
+
+    def unpack(self, P):
+        return tuple(map(self.field.to_ring, P))
+
+
 @functools.cache
 def _mod_table(p):
     """The bytes.translate table that takes each byte value b to b mod p."""
     return bytes(b % p for b in range(256))
 
 
-class PackedTruncatedRing(_PolyOps):
-    """F_p[t]/t^m with an element packed into one int, byte j the coefficient of t^j.
-
-    Needs m (p - 1)^2 < 256. Then a sum, a difference (a + p * ONES - b,
-    with ONES the int of m bytes 1) or a product, cut to m bytes, of
-    reduced elements is one int operation that leaves every byte below
-    256: byte j of a product is a sum of at most m products of two
-    coefficients below p. So no byte carries into the next, and one pass
-    of the bytes through a table reduces each of them mod p; for p = 2,
-    one AND with ONES does.
-    """
-
-    def __init__(self, p, m):
-        self.length = m
-        self.zero = 0
-        self.one = 1
-        self._table = _mod_table(p)
-        self._mask = (1 << 8 * m) - 1
-        ones = self._mask // 255
-        self._p_ones = p * ones
-        if p == 2:  # a byte below 256 is its lowest bit mod 2
-            self._reduce = ones.__and__
-
-    def _reduce(self, x):
-        return int.from_bytes(x.to_bytes(self.length, "little").translate(self._table), "little")
-
-    def add(self, a, b):
-        return self._reduce(a + b)
-
-    def sub(self, a, b):
-        return self._reduce(a + self._p_ones - b)
-
-    def neg(self, a):
-        return self._reduce(self._p_ones - a)
-
-    def mul(self, a, b):
-        return self._reduce(a * b & self._mask)
-
-    def mod(self, a):
-        """The image of a ring element, or of an element packed at a higher precision."""
-        if isinstance(a, int):
-            return a & self._mask
-        return int.from_bytes(bytes(a[: self.length]), "little")
-
-    def to_ring(self, a):
-        return tuple(a.to_bytes(self.length, "little").rstrip(b"\0"))
-
-
-class PackedPolynomialRing(PackedTruncatedRing):
-    """F_p[t]/t^m with a whole polynomial in x over it packed into one int.
+class PackedPolynomialRing(ffpoly._Polys):
+    """Polynomials in x over F_p[t]/t^m, each packed into one int.
 
     Slot i, the S = 2 top - 1 bytes from byte i S on, holds the x^i
-    coefficient as ``PackedTruncatedRing`` packs an element, so a constant
-    is its element and the element ops still apply. The stride is set by
-    the precision ``top`` that a lift doubles m up to, so a polynomial
-    keeps its ints from one round to the next.
+    coefficient, byte j its t^j coefficient. The stride is set by the
+    precision ``top`` that a lift doubles m up to, so a polynomial keeps
+    its int from one round to the next.
 
     Needs length m (p - 1)^2 + p - 1 < 256, for polynomials of at most
     ``length`` coefficients. Then the product of two of them is one int
@@ -464,62 +311,65 @@ class PackedPolynomialRing(PackedTruncatedRing):
     m (p - 1)^2, and a t-product of 2m - 1 bytes fits its slot. So no
     byte carries into the next; a mask cuts each slot to m bytes and one
     pass of the bytes through the mod-p table reduces the whole
-    polynomial. Division by a monic h takes, per quotient coefficient c,
-    one product c * (-h) added to the reduced remainder, whose bytes stay
-    below m (p - 1)^2 + p - 1, and one reduction.
+    polynomial (for p = 2, one AND with a 1 in each kept byte does). A
+    sum, or a difference a + p ONES - b, has every byte below 2 p.
+    Division by a monic h takes, per quotient coefficient c, one product
+    c * (-h) added to the reduced remainder, whose bytes stay below
+    m (p - 1)^2 + p - 1, and one reduction.
     """
 
-    packs_polynomials = True
-    poly_one = 1
+    zero, one = 0, 1
 
     def __init__(self, p, m, top, length):
-        super().__init__(p, m)
+        self.length = m
+        self._table = _mod_table(p)
         self._stride = 2 * top - 1
         self._width = width = 8 * self._stride  # in bits
         step = 1 << width
         slots = (step ** (2 * length) - 1) // (step - 1)  # a 1 at the start of each of 2 length slots
-        self._slot_mask = self._mask * slots
+        self._slot_mask = ((1 << 8 * m) - 1) * slots
         self._p_bytes = p * (step ** (2 * length) - 1) // 255
-        if p == 2:
-            self._poly_reduce = (self._slot_mask // 255).__and__
+        if p == 2:  # a byte below 256 is its lowest bit mod 2
+            self._reduce = (self._slot_mask // 255).__and__
 
-    def _poly_reduce(self, x):
+    def _reduce(self, x):
         n = (x.bit_length() + 7) >> 3
         return int.from_bytes(x.to_bytes(n, "little").translate(self._table), "little")
 
-    def poly_mod(self, P):
+    def pack(self, P):
+        """The image of a polynomial over F_p[t], or over this ring at a higher precision."""
         if isinstance(P, int):
             return P & self._slot_mask
         m, stride = self.length, self._stride
         return int.from_bytes(b"".join([bytes(c[:m]).ljust(stride, b"\0") for c in P]), "little")
 
-    def poly_to_ring(self, P):
+    def unpack(self, P):
         m, stride = self.length, self._stride
         n = -(-P.bit_length() // self._width) * stride
         b = P.to_bytes(n, "little")
         return tuple(tuple(b[i : i + m].rstrip(b"\0")) for i in range(0, n, stride))
 
-    def poly_add(self, a, b):
-        return self._poly_reduce(a + b)
+    def add(self, a, b):
+        return self._reduce(a + b)
 
-    def poly_sub(self, a, b):
+    def sub(self, a, b):
         # p in every byte up to b's top byte keeps every byte of the difference positive
-        return self._poly_reduce(a + (self._p_bytes & (1 << ((b.bit_length() + 7) & -8)) - 1) - b)
+        return self._reduce(a + (self._p_bytes & (1 << ((b.bit_length() + 7) & -8)) - 1) - b)
 
-    def poly_mul(self, a, b):
-        return self._poly_reduce(a * b & self._slot_mask)
+    def mul(self, a, b):
+        return self._reduce(a * b & self._slot_mask)
 
-    def poly_divmod(self, a, h):
+    def divmod(self, a, h):
         width = self._width
         d = (h.bit_length() - 1) // width
         n = (a.bit_length() - 1) // width
-        negh = self.poly_sub(0, h)
+        negh = self.sub(0, h)
         q = 0
         for i in range(n - d, -1, -1):  # slot i + d is a's top slot here
             c = a >> width * (i + d)
             if c:
                 q |= c << width * i
-                a = self._poly_reduce(a + (c * negh << width * i) & self._slot_mask)
+                a = self._reduce(a + (c * negh << width * i) & self._slot_mask)
         return q, a
 
 

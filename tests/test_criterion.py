@@ -373,6 +373,28 @@ def test_classical_check_on_squarefree_residue_matches_oracle(base):
 
 
 @pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())
+def test_classical_check_takes_no_power_on_a_squarefree_residue(base, monkeypatch):
+    # h*_bar multiplies the repeated factors only, so a squarefree f_bar needs no power
+    rng = random.Random(15)
+    ring = base.ring
+    cases = []
+    for _ in range(40):
+        f = _small_poly(rng, base, rng.randint(1, 5)) + (ring.one,)
+        rf = residue_factorization(f, base)
+        if not rf.repeated_indices:
+            assert classical_check(f, base, rf)  # builds the ring's cached quotients first
+            cases.append((f, rf))
+    assert len(cases) >= 10
+
+    def unused(*args):
+        raise AssertionError("ffpoly.pow_ called on a squarefree residue")
+
+    monkeypatch.setattr(ffpoly, "pow_", unused)
+    for f, rf in cases:
+        assert classical_check(f, base, rf) is True
+
+
+@pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())
 def test_classical_check_refuses_a_factorization_that_does_not_multiply_back(base):
     ring = base.ring
     f = _small_poly(random.Random(13), base, 4) + (ring.one,)

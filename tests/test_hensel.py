@@ -29,9 +29,7 @@ from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
 from maxorder.rings import (
     IntegersModPrimePow,
-    PackedIntegersModPrimePow,
     PackedPolynomialRing,
-    PackedTruncatedRing,
     ValuedBase,
     lift_residue_poly,
     reduce_mod,
@@ -341,8 +339,8 @@ BT5 = ValuedBase.function_field(5, 1, (0, 1))
 
 @pytest.mark.parametrize("k, packed", [(15, True), (16, False)])
 def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
-    # F_5[t]/t^k packs its elements into ints while 16 k < 256
-    assert isinstance(BT5.ring.truncated(k), PackedTruncatedRing) == packed
+    # k = 15 and 16 straddle 16 k = 256, past which a product of two F_5[t]/t^k elements
+    # overflows a byte; the lift runs on tuples at both, as no length here packs polynomials
     rng = random.Random(44)
     field = BT5.ring.field
     lifted_any = 0
@@ -351,6 +349,7 @@ def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
             ffpoly.trim(field, [rng.randrange(5) for _ in range(rng.randint(0, 3))])
             for _ in range(rng.randint(2, 6))
         ) + (BT5.ring.one,)
+        assert not isinstance(BT5.ring.polys(k, k, len(f)), PackedPolynomialRing)
         rf = residue_factorization(f, BT5)
         lifted = hensel_lift(f, rf, BT5, k)
         assert lifted.factors == hensel_lift_oracle(f, rf, BT5, k)
@@ -366,7 +365,7 @@ DEGREE_12 = "x^3*(x+1)^2*(x^2+1)^2*(x+2)^3 + t"  # over F_3(t) at t, four repeat
 def test_degree_12_lift_matches_oracle_on_both_sides_of_the_polynomial_packing_bound(k, packed):
     # whole polynomials of length 13 pack while 13 k (3 - 1)^2 + 2 < 256
     ring = BT3.ring
-    assert isinstance(ring.truncated(k, length=13), PackedPolynomialRing) == packed
+    assert isinstance(ring.polys(k, k, 13), PackedPolynomialRing) == packed
     product = parse_poly(DEGREE_12, BT3)
     rng = random.Random(45)
     for _ in range(6):
@@ -406,7 +405,7 @@ def test_rational_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, pack
     lifted_any = 0
     for _ in range(12):
         f = tuple(rng.randint(-40, 40) for _ in range(rng.randint(2, 7))) + (1,)
-        assert isinstance(B2.ring.truncated(k, length=len(f)), PackedIntegersModPrimePow) == packed
+        assert isinstance(B2.ring.polys(k, k, len(f)), ffpoly._Packed) == packed
         rf = residue_factorization(f, B2)
         lifted = hensel_lift(f, rf, B2, k)
         assert lifted.factors == hensel_lift_oracle(f, rf, B2, k)

@@ -12,10 +12,9 @@ from maxorder.errors import InputError
 from maxorder.rings import (
     IntegerRing,
     IntegersModPrimePow,
-    PackedIntegersModPrimePow,
     PackedPolynomialRing,
-    PackedTruncatedRing,
     TruncatedFunctionRing,
+    _QuotientTuples,
     ValuedBase,
     discriminant,
     element_to_text,
@@ -271,49 +270,19 @@ def _b4():
     return ValuedBase.function_field(2, 2, (k.zero, k.one))
 
 
-# packed F_p[t]/t^m against the tuple ring
-PACK_BOUND = {2: 256, 3: 64, 5: 16}  # the least m with m (p - 1)^2 >= 256
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_packed_ring_agrees_with_tuple_ring(data):
-    base = data.draw(st.sampled_from([BT2, BT3, BT5]))
-    ring, p = base.ring, base.p
-    m = data.draw(st.integers(1, PACK_BOUND[p] + 2))
-    R, T = ring.truncated(m), TruncatedFunctionRing(ring, m)
-    assert isinstance(R, PackedTruncatedRing) == (m < PACK_BOUND[p])
-
-    def element(max_len):
-        return ffpoly.trim(ring.field, data.draw(st.lists(st.integers(0, p - 1), max_size=max_len)))
-
-    a, b = element(m + 3), element(m + 3)  # longer than m, so mod cuts them
-    ra, rb, ta, tb = R.mod(a), R.mod(b), T.mod(a), T.mod(b)
-    assert R.to_ring(ra) == ta and R.to_ring(R.zero) == () and R.to_ring(R.one) == (1,)
-    assert R.to_ring(R.add(ra, rb)) == T.add(ta, tb)
-    assert R.to_ring(R.sub(ra, rb)) == T.sub(ta, tb)
-    assert R.to_ring(R.neg(ra)) == T.neg(ta)
-    assert R.to_ring(R.mul(ra, rb)) == T.mul(ta, tb)
-    # mod also takes an element of a higher precision, in whichever representation it has
-    H = ring.truncated(m + data.draw(st.integers(0, 4)))
-    assert R.to_ring(R.mod(H.mod(a))) == ta
-    # a lift that doubles m up to top keeps the representation of top
-    top = data.draw(st.integers(m, PACK_BOUND[p] + 2))
-    assert isinstance(ring.truncated(m, top), PackedTruncatedRing) == (top < PACK_BOUND[p])
-    assert ring.truncated(m, top).to_ring(ring.truncated(m, top).mod(a)) == ta
-
-
 def test_truncated_rings_fall_back_at_the_bound():
+    # every element ring of F_q[t] is on tuples: at pi = t over a prime field F_p on both
+    # sides of m (p - 1)^2 = 256, and at every other place
     for base, bound in ((BT2, 256), (BT3, 64), (BT5, 16), (ValuedBase.function_field(7, 1, (0, 1)), 8)):
-        assert isinstance(base.ring.truncated(bound - 1), PackedTruncatedRing)
-        assert isinstance(base.ring.truncated(bound), TruncatedFunctionRing)
-    # only pi = t over a prime field packs
+        assert type(base.ring.truncated(bound - 1)) is TruncatedFunctionRing
+        assert type(base.ring.truncated(bound)) is TruncatedFunctionRing
     others = (_b4(), ValuedBase.function_field(2, 1, (1, 1)), ValuedBase.function_field(2, 1, (1, 1, 1)))
     for base in others:
         assert type(base.ring.truncated(2)) is TruncatedFunctionRing
     # built once per ring and precision
     assert BT3.ring.truncated(5) is BT3.ring.truncated(5)
-    assert B3.ring.truncated(5) is B3.ring.truncated(5, 9)
+    assert B3.ring.truncated(5) is B3.ring.truncated(5)
+    assert BT3.ring.polys(2, 4, 3) is BT3.ring.polys(2, 4, 3)
 
 
 # whole polynomials packed over F_p[t]/t^m against ffpoly over the tuple ring
@@ -331,8 +300,9 @@ def test_packed_polynomials_agree_with_ffpoly(data):
     bound = _poly_pack_bound(p, length)
     top = data.draw(st.integers(max(1, bound - 3), bound + 2))  # both sides of the bound
     m = data.draw(st.integers(1, top))
-    R, T = ring.truncated(m, top, length), TruncatedFunctionRing(ring, m)
+    R, T = ring.polys(m, top, length), TruncatedFunctionRing(ring, m)
     assert isinstance(R, PackedPolynomialRing) == (top < bound)
+    Tp = _QuotientTuples(T)
 
     def poly(min_len, max_len):
         def element():
@@ -342,25 +312,25 @@ def test_packed_polynomials_agree_with_ffpoly(data):
 
     def back(x):
         # every result is the canonical representative: equal values are equal ints
-        y = R.poly_to_ring(x)
-        assert R.poly_mod(y) == x
+        y = R.unpack(x)
+        assert R.pack(y) == x
         return y
 
     a, b = poly(0, length), poly(0, length)
     h = poly(0, length - 1) + (ring.one,)
-    ra, rb, rh = R.poly_mod(a), R.poly_mod(b), R.poly_mod(h)
-    ta, tb, th = T.poly_mod(a), T.poly_mod(b), T.poly_mod(h)
-    assert back(ra) == ta and back(R.poly_one) == (ring.one,)
-    assert back(R.poly_add(ra, rb)) == ffpoly.add(T, ta, tb)
-    assert back(R.poly_sub(ra, rb)) == ffpoly.sub(T, ta, tb)
-    ab = R.poly_mul(ra, rb)
+    ra, rb, rh = R.pack(a), R.pack(b), R.pack(h)
+    ta, tb, th = Tp.pack(a), Tp.pack(b), Tp.pack(h)
+    assert back(ra) == ta and back(R.one) == (ring.one,)
+    assert back(R.add(ra, rb)) == ffpoly.add(T, ta, tb)
+    assert back(R.sub(ra, rb)) == ffpoly.sub(T, ta, tb)
+    ab = R.mul(ra, rb)
     assert back(ab) == ffpoly.mul(T, ta, tb)
     for dividend in (ra, ab):  # ab has up to 2 length - 1 coefficients
-        q, r = R.poly_divmod(dividend, rh)
+        q, r = R.divmod(dividend, rh)
         assert (back(q), back(r)) == ffpoly.divmod_(T, back(dividend), th)
     # a polynomial at the top precision maps to every lower one of its lift
-    H = ring.truncated(top, length=length)
-    assert back(R.poly_mod(H.poly_mod(a))) == ta
+    H = ring.polys(top, top, length)
+    assert back(R.pack(H.pack(a))) == ta
 
 
 def test_packed_polynomials_fall_back_at_the_bound():
@@ -368,22 +338,24 @@ def test_packed_polynomials_fall_back_at_the_bound():
         for length in (1, 2, 7, 13):
             bound = _poly_pack_bound(p, length)
             if bound < 2:
-                assert not isinstance(base.ring.truncated(1, length=length), PackedPolynomialRing)
+                assert not isinstance(base.ring.polys(1, 1, length), PackedPolynomialRing)
                 continue
             square = (p - 1) ** 2
             assert length * (bound - 1) * square + p - 1 < 256 <= length * bound * square + p - 1
-            assert isinstance(base.ring.truncated(bound - 1, length=length), PackedPolynomialRing)
-            assert not isinstance(base.ring.truncated(bound, length=length), PackedPolynomialRing)
+            assert isinstance(base.ring.polys(bound - 1, bound - 1, length), PackedPolynomialRing)
+            assert not isinstance(base.ring.polys(bound, bound, length), PackedPolynomialRing)
             # the choice follows top, not m
-            assert isinstance(base.ring.truncated(1, bound - 1, length), PackedPolynomialRing)
-            assert not isinstance(base.ring.truncated(1, bound, length), PackedPolynomialRing)
+            assert isinstance(base.ring.polys(1, bound - 1, length), PackedPolynomialRing)
+            assert not isinstance(base.ring.polys(1, bound, length), PackedPolynomialRing)
     # F_3 at t, degree 12: packed up to precision 4 (13 * 4 * 4 + 2 = 210), not at 5 (262)
-    assert isinstance(BT3.ring.truncated(4, length=13), PackedPolynomialRing)
-    assert not isinstance(BT3.ring.truncated(5, length=13), PackedPolynomialRing)
-    # without a length, and away from pi = t over a prime field, no polynomial is packed
+    assert isinstance(BT3.ring.polys(4, 4, 13), PackedPolynomialRing)
+    assert not isinstance(BT3.ring.polys(5, 5, 13), PackedPolynomialRing)
+    # an element ring is never a polynomial domain, and away from pi = t over a prime
+    # field no polynomial is packed
     for base in (BT3, _b4(), ValuedBase.function_field(3, 1, (1, 0, 1))):
         assert not isinstance(base.ring.truncated(2), PackedPolynomialRing)
-    assert not isinstance(_b4().ring.truncated(2, length=3), PackedPolynomialRing)
+    assert not isinstance(_b4().ring.polys(2, 2, 3), PackedPolynomialRing)
+    assert not isinstance(ValuedBase.function_field(3, 1, (1, 0, 1)).ring.polys(2, 2, 3), PackedPolynomialRing)
 
 
 # whole polynomials packed over Z/p^m against ffpoly over the tuple ring
@@ -407,8 +379,9 @@ def test_packed_integer_polynomials_agree_with_ffpoly(data):
     bound = _q_pack_top(p)
     top = data.draw(st.integers(max(1, bound - 3), bound + 2))  # both sides of the bound
     m = data.draw(st.integers(1, top))
-    R, T = ring.truncated(m, top, length), IntegersModPrimePow(p**m)
-    assert isinstance(R, PackedIntegersModPrimePow) == (top <= bound)
+    R, T = ring.polys(m, top, length), IntegersModPrimePow(p**m)
+    assert isinstance(R, ffpoly._Packed) == (top <= bound)
+    Tp = _QuotientTuples(T)
 
     def poly(min_len, max_len):
         size = p ** (top + 1)
@@ -417,41 +390,41 @@ def test_packed_integer_polynomials_agree_with_ffpoly(data):
 
     def back(x):
         # every result is the canonical representative: equal values are equal ints
-        y = R.poly_to_ring(x)
-        assert R.poly_mod(y) == x
+        y = R.unpack(x)
+        assert R.pack(y) == x
         return y
 
     a, b = poly(0, length), poly(0, length)
     h = poly(0, length - 1) + (1,)
-    ra, rb, rh = R.poly_mod(a), R.poly_mod(b), R.poly_mod(h)
-    ta, tb, th = T.poly_mod(a), T.poly_mod(b), T.poly_mod(h)
-    assert back(ra) == ta and back(R.poly_one) == (1,)
-    assert back(R.poly_add(ra, rb)) == ffpoly.add(T, ta, tb)
-    assert back(R.poly_sub(ra, rb)) == ffpoly.sub(T, ta, tb)
-    ab = R.poly_mul(ra, rb)
+    ra, rb, rh = R.pack(a), R.pack(b), R.pack(h)
+    ta, tb, th = Tp.pack(a), Tp.pack(b), Tp.pack(h)
+    assert back(ra) == ta and back(R.one) == (1,)
+    assert back(R.add(ra, rb)) == ffpoly.add(T, ta, tb)
+    assert back(R.sub(ra, rb)) == ffpoly.sub(T, ta, tb)
+    ab = R.mul(ra, rb)
     assert back(ab) == ffpoly.mul(T, ta, tb)
     for dividend in (ra, ab):  # ab has up to 2 length - 1 coefficients
-        q, r = R.poly_divmod(dividend, rh)
+        q, r = R.divmod(dividend, rh)
         assert (back(q), back(r)) == ffpoly.divmod_(T, back(dividend), th)
     # a polynomial at the top precision maps to every lower one of its lift
-    H = ring.truncated(top, length=length)
-    assert back(R.poly_mod(H.poly_mod(a))) == ta
+    H = ring.polys(top, top, length)
+    assert back(R.pack(H.pack(a))) == ta
 
 
 def test_packed_integer_polynomials_fall_back_at_the_bound():
     for p, bound in ((2, 127), (3, 80)):
         ring = IntegerRing(p)
         assert (p**bound).bit_length() <= 128 < (p ** (bound + 1)).bit_length()
-        assert isinstance(ring.truncated(bound, length=5), PackedIntegersModPrimePow)
-        assert type(ring.truncated(bound + 1, length=5)) is IntegersModPrimePow
+        assert isinstance(ring.polys(bound, bound, 5), ffpoly._Packed)
+        assert type(ring.polys(bound + 1, bound + 1, 5).field) is IntegersModPrimePow
         # the choice follows top, not m
-        assert isinstance(ring.truncated(1, bound, 5), PackedIntegersModPrimePow)
-        assert type(ring.truncated(1, bound + 1, 5)) is IntegersModPrimePow
-        # without a length no polynomial is packed
+        assert isinstance(ring.polys(1, bound, 5), ffpoly._Packed)
+        assert type(ring.polys(1, bound + 1, 5).field) is IntegersModPrimePow
+        # an element ring is never a polynomial domain
         assert type(ring.truncated(2)) is IntegersModPrimePow
         # built once per precision, top and length
-        assert ring.truncated(3, 9, 4) is ring.truncated(3, 9, 4)
-        assert ring.truncated(3, 9, 4) is not ring.truncated(3, 9, 5)
+        assert ring.polys(3, 9, 4) is ring.polys(3, 9, 4)
+        assert ring.polys(3, 9, 4) is not ring.polys(3, 9, 5)
 
 
 def test_to_ring_is_the_identity_outside_the_packed_ring():
