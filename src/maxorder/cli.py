@@ -651,6 +651,9 @@ def run_corpus(args):
 # argument plumbing
 
 
+VALUE_OPTIONS = ("--poly", "--pi", "--primes")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="maxorder",
@@ -748,7 +751,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value such as "-2+x^2" as an option, but "--poly=-2+x^2" as the value
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in VALUE_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = parser.parse_args(joined)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

@@ -135,7 +135,8 @@ def _fq_root_candidates(g, base, place):
 
     g must be squarefree at the auxiliary ``place``, so every root of g
     reduces to a simple root there, read off gcd(g, x^Q - x), and is the
-    unique Newton lift of it. The lift stops once a residue pins the
+    unique Newton lift of it, computed on polynomials of length 1 of
+    ``polys``. The lift stops once a residue pins the
     root: over Z mod ell^k > 2 (1 + max |a_i|), Cauchy's bound, then the
     symmetric residue; over F_q[t] mod pi^k with k deg pi > deg_t c,
     where deg_t c <= deg_t a_i / (n - i) for some i, or nothing could
@@ -161,19 +162,19 @@ def _fq_root_candidates(g, base, place):
     dg = ffpoly.derivative(base.ring, g)
     dgbar = ffpoly.derivative(field, gbar)
     out = []
-    top = aux.truncated(need)
+    top = aux.polys(need, need, 1)  # an element is a polynomial of length 1
     for h in [split] if len(split) == 2 else ffpoly.equal_degree_split(field, split, 1, random.Random(0)):
         root = field.neg(h[0])
-        r, s = (top.mod(aux.lift(c)) for c in (root, field.inv(ffpoly.evaluate(field, dgbar, root))))
+        r, s = (top.pack((aux.lift(c),)) for c in (root, field.inv(ffpoly.evaluate(field, dgbar, root))))
         m = 1
         while m < need:  # r is a root and s is 1/g'(r) mod prime^m
             m = min(2 * m, need)
-            T = aux.truncated(m)
-            r = T.sub(r, T.mul(ffpoly.evaluate(T, [T.mod(a) for a in g], r), s))
+            T = aux.polys(m, need, 1)
+            r = T.sub(r, T.mul(ffpoly.evaluate(T, [T.pack((a,)) for a in g], r), s))
             if m < need:
-                d = ffpoly.evaluate(T, [T.mod(a) for a in dg], r)
+                d = ffpoly.evaluate(T, [T.pack((a,)) for a in dg], r)
                 s = T.add(s, T.mul(s, T.sub(T.one, T.mul(d, s))))
-        r = top.to_ring(r)
+        r = (top.unpack(r) or (aux.zero,))[0]
         out.append(r - modulus if base.kind == "Q" and 2 * r > modulus else r)
     if base.kind == "Q":
         return sorted(out, key=lambda c: (abs(c), c < 0))
@@ -238,7 +239,7 @@ def classical_check(f, base, rf):
     Only T_bar = T mod prime enters, and it depends only on g* h* - f
     modulo prime^2. So the products are taken over R/prime^2
     (``polys(2, 2, len f)``) where a polynomial there is one int, over
-    Z/p^2 for p below 2^64 and F_p[t]/t^2 for small p, and each product
+    Z/p^2 for p below 2^64 and F_p[t]/t^2 at pi = t, and each product
     is one int product. On tuples, reducing every coefficient costs more
     than it saves on the small canonical lifts, and the products stay
     exact in R. T_bar is read off the representatives of g* h* - f by

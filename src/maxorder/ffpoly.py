@@ -28,8 +28,10 @@ docstring shows. ``factor_monic``, ``is_irreducible``, ``gcd``, ``egcd``
 and ``pow_mod`` over F_p pack their inputs once and unpack the results
 once, and the stages pass packed ints between them. Over other fields
 they run on the tuples (``_Tuples``), and so does everything else, over
-fields and rings alike. The Hensel lift and the classical check take
-the same ops over the quotients R/prime^m, from ``rings``.
+fields and rings alike. The Hensel lift, the classical check and the
+screen's Newton lift take the same ops over the quotients R/prime^m,
+from ``rings``; over F_p[t]/t^m they are ``_PackedSeries``, in blocks
+of ``_Packed``'s slots, reduced by the same pass.
 """
 
 import random
@@ -331,6 +333,19 @@ class _Packed(_Polys):
     at the start of each of 2 length slots, is
     (2^(2 length s) - 1) / (2^s - 1). The layout is built per instance
     from these closed forms, for any p, m and length.
+
+    ``_PackedSeries`` runs F_p[t]/t^m on the layout of F_p (m = 1) of
+    length n S: the x^i coefficient of a polynomial of at most n
+    coefficients is block i, the S = 2 top - 1 slots from slot i S on,
+    slot j its t^j coefficient, and a mask keeps the first m slots of
+    each block. Two blocks of t-degree below m multiply into t-degree
+    2 m - 2 < S, as m <= top, so no block of a product reaches the next.
+    A slot of a product sums at most n m products of two residues, so it
+    is below n m p^2. A division by a monic h of degree e < n takes the
+    top block as the quotient digit and adds the digit times the reduced
+    negation of h's lower blocks, below m p^2 in every slot, to the e
+    blocks under it; a block lies under at most e digits. So every slot
+    stays below 2 n m p^2 <= 2 n S p^2, the bound above for length n S.
     """
 
     def __init__(self, field, length, m=1, top=1):
@@ -439,6 +454,63 @@ class _Packed(_Polys):
             elif c:
                 raise ArithmeticError("polynomial is not a p-th power")
         return out
+
+
+class _PackedSeries(_Packed):
+    """Polynomials of at most ``length`` coefficients over F_p[t]/t^m, in blocks of ``_Packed``'s slots.
+
+    It has the ops of the Hensel lift, ``pack``, ``unpack``, ``add``, ``sub``,
+    ``mul`` and division by a monic polynomial; ``_Packed`` proves the layout.
+    The ops that read a slot as an x-coefficient are None, so they fail at once.
+    """
+
+    deg = lc = scale = derivative = pth_root = pow_mod = None
+
+    def __init__(self, field, length, m, top):
+        S = 2 * top - 1
+        super().__init__(field, length * S)
+        self._m, self.x = m, None  # 1 << s is t here, not x
+        self._block = block = S * self._width
+        self._digit_mask = (1 << m * self._width) - 1
+        self._keep = self._digit_mask * sum(1 << i * block for i in range(2 * length))
+
+    def pack(self, a):
+        """A tuple of polynomials over F_p, or an int packed at a higher precision."""
+        if isinstance(a, int):
+            return a & self._keep
+        s, w, m, x = self._width, self._block, self._m, 0
+        for c in reversed(a):
+            y = 0
+            for u in reversed(c[:m]):
+                y = y << s | u
+            x = x << w | y
+        return x
+
+    def unpack(self, a):
+        s, mask, slot = self._width, self._digit_mask, (1 << self._width) - 1
+        blocks = [a >> i & mask for i in range(0, a.bit_length(), self._block)]
+        return tuple([tuple([c >> j & slot for j in range(0, c.bit_length(), s)]) for c in blocks])
+
+    def mul(self, a, b):
+        return self._reduce(a * b & self._keep)
+
+    def _divide(self, a, h, quotient):
+        """a mod monic h, after the quotient if asked: the top block is the next quotient digit."""
+        if not h:
+            raise ZeroDivisionError("polynomial division by zero")
+        w, mask = self._block, self._digit_mask
+        ds = h.bit_length() // w * w
+        low = (1 << ds) - 1
+        negh = self.sub(0, h & low)  # reduced: p past slot m, times a digit, would reach the next block
+        q = 0
+        for j in range(a.bit_length() // w * w - ds, -1, -w):
+            c = self._reduce(a >> j + ds & mask)
+            if c:
+                if quotient:
+                    q |= c << j
+                a += c * negh << j
+        r = self._reduce(a & low & self._keep)
+        return (q, r) if quotient else r
 
 
 def _polys(field, length):

@@ -6,8 +6,8 @@ factorization f = prod F_i modulo any power of the prime, computed in
 R/prime^k and checked branch by branch in the residue field. The lift
 uses only the polynomial ops that ``polys(m, k, len f)`` of the base's
 ring gives: one int per polynomial over Z/p^m for p^k below 2^128 and
-over F_p[t]/t^m for small p, where a product is one int product and
-one reduction pass, and tuples over the other quotients.
+over F_p[t]/t^m at pi = t for every p, where a product is one int
+product and one reduction pass, and tuples over the other quotients.
 
 Quantities read off a branch F_i, such as the valuation of a resultant
 against the lift phi_i, are exact whenever they come out strictly below

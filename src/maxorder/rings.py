@@ -14,21 +14,20 @@ and its degree is the MINUS_INF sentinel. Their arithmetic is ``ffpoly``'s,
 with the ring passed as the coefficient domain. Valuations of zero are
 the INF sentinel.
 
-The quotients R/prime^m come in two forms. ``truncated(m)`` is the
-element ring, which Newton's method in the screen computes in: ints
-0 <= a < p^m for Z, and trimmed tuples of t-degree below m deg pi for
-F_q[t]; ``mod`` maps into it and ``to_ring`` maps back.
-``polys(m, top, length)`` gives the ops of ``ffpoly._Polys`` (``pack``,
-``unpack``, ``add``, ``sub``, ``mul``, ``divmod`` by a monic divisor,
-``one``) on polynomials in x over R/prime^m of at most ``length``
-coefficients, which the Hensel lift and the classical check use. There
-a polynomial is one int where it can be, so that a sum, a difference or
-a product is one int operation and one reduction pass: over Z/p^m while
-p^top < 2^128 (``ffpoly._Packed``), and over F_p[t]/t^m for small p
-(``PackedPolynomialRing``). Elsewhere it is a tuple of elements
-(``_QuotientTuples``). The layout follows the precision ``top`` that a
-lift doubles m up to, so a polynomial keeps its int from one precision
-to the next.
+A quotient R/prime^m is reached through ``polys(m, top, length)``: the
+ops of ``ffpoly._Polys`` (``pack``, ``unpack``, ``add``, ``sub``,
+``mul``, ``divmod`` by a monic divisor, ``zero``, ``one``) on
+polynomials in x over R/prime^m of at most ``length`` coefficients. The
+Hensel lift and the classical check use them, and so does Newton's
+method in the screen, whose elements are polynomials of length 1. A
+polynomial is one int where it can be, so that a sum, a difference or a
+product is one int operation and one reduction pass: over Z/p^m while
+p^top < 2^128 (``ffpoly._Packed``), and over F_p[t]/t^m at pi = t for
+every prime field (``ffpoly._PackedSeries``). Elsewhere it is a tuple
+over the element ring (``_QuotientTuples`` over ``IntegersModPrimePow``
+or ``TruncatedFunctionRing``). The layout follows the precision ``top``
+that a lift doubles m up to, so a polynomial keeps its int from one
+precision to the next.
 """
 
 import functools
@@ -78,13 +77,6 @@ class IntegerRing:
             v += 1
         return v
 
-    def truncated(self, m):
-        """Z/p^m, built once per m."""
-        R = self._quotients.get(m)
-        if R is None:
-            R = self._quotients[m] = IntegersModPrimePow(self.p ** m)
-        return R
-
     def polys(self, m, top, length):
         """Polynomials over Z/p^m, one int each while p^top < 2^128; built once per (m, top, length)."""
         key = (m, top, length)
@@ -94,7 +86,7 @@ class IntegerRing:
             if top * (self.p.bit_length() - 1) < 128 and self.p ** top < 1 << 128:
                 P = ffpoly._Packed(self.residue_field, length, m, top)
             else:
-                P = _QuotientTuples(self.truncated(m))
+                P = _QuotientTuples(IntegersModPrimePow(self.p ** m))
             self._quotients[key] = P
         return P
 
@@ -134,7 +126,6 @@ class FunctionRing:
         self.zero = ()
         self.one = (field.one,)
         self.prime_element = pi
-        self._packs = self._pi_is_t and isinstance(field, PrimeField)
         self._quotients = {}
         if d == 1:
             self.residue_field = field
@@ -169,23 +160,15 @@ class FunctionRing:
             a = q
             v += 1
 
-    def truncated(self, m):
-        """F_q[t]/pi^m, built once per m."""
-        R = self._quotients.get(m)
-        if R is None:
-            R = self._quotients[m] = TruncatedFunctionRing(self, m)
-        return R
-
     def polys(self, m, top, length):
-        """Polynomials over F_q[t]/pi^m, built once per (m, top, length): one int each at pi = t
-        over a prime field F_p when length top (p - 1)^2 + p - 1 < 256, else tuples."""
+        """Polynomials over F_q[t]/pi^m, one int each at pi = t over F_p; built once per (m, top, length)."""
         key = (m, top, length)
         P = self._quotients.get(key)
         if P is None:
-            if self._packs and length * top * (self.p - 1) ** 2 + self.p - 1 < 256:
-                P = PackedPolynomialRing(self.p, m, top, length)
+            if self._pi_is_t and isinstance(self.field, PrimeField):
+                P = ffpoly._PackedSeries(self.field, length, m, top)
             else:
-                P = _QuotientTuples(self.truncated(m))
+                P = _QuotientTuples(TruncatedFunctionRing(self, m))
             self._quotients[key] = P
         return P
 
@@ -230,53 +213,35 @@ class IntegersModPrimePow:
     def sub(self, a, b):
         return (a - b) % self.modulus
 
-    def neg(self, a):
-        return -a % self.modulus
-
     def mul(self, a, b):
         return a * b % self.modulus
 
     def mod(self, a):
         return a % self.modulus
 
-    def to_ring(self, a):
-        return a
-
 
 class TruncatedFunctionRing:
     """F_q[t]/pi^m on the representatives of t-degree below m * deg pi.
 
-    A product keeps only its terms below t^m at pi = t, and is reduced by
-    pi^m, computed once here, at any other pi. Sums need no reduction.
+    A product is cut below t^m at pi = t, and reduced by pi^m, computed
+    once here, at any other pi. Sums need no reduction.
     """
 
     def __init__(self, ring, m):
         self.field = ring.field
         self.zero = ()
         self.one = ring.one
-        self.add, self.sub, self.neg = ring.add, ring.sub, ring.neg
+        self.add, self.sub = ring.add, ring.sub
         self.length = m
         self.modulus = None if ring._pi_is_t else ffpoly.pow_(ring.field, ring.pi, m)
 
     def mul(self, a, b):
-        field = self.field
-        if self.modulus is not None:
-            return ffpoly.rem(field, ffpoly.mul(field, a, b), self.modulus)
-        n = min(len(a) + len(b) - 1, self.length)
-        out = [field.zero] * n
-        for i, ca in enumerate(a[:n]):
-            if ca != field.zero:
-                for j, cb in enumerate(b[: n - i]):
-                    out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-        return ffpoly.trim(field, out)
+        return self.mod(ffpoly.mul(self.field, a, b))
 
     def mod(self, a):
-        if self.modulus is not None:
-            return ffpoly.rem(self.field, a, self.modulus)
-        return ffpoly.trim(self.field, a[: self.length])
-
-    def to_ring(self, a):
-        return a
+        if self.modulus is None:
+            return ffpoly.trim(self.field, a[: self.length])
+        return ffpoly.rem(self.field, a, self.modulus)
 
 
 class _QuotientTuples(ffpoly._Tuples):
@@ -285,92 +250,6 @@ class _QuotientTuples(ffpoly._Tuples):
     def pack(self, P):
         """The image of a polynomial over R, or over R/prime^m at a higher precision."""
         return ffpoly.trim(self.field, [self.field.mod(c) for c in P])
-
-    def unpack(self, P):
-        return tuple(map(self.field.to_ring, P))
-
-
-@functools.cache
-def _mod_table(p):
-    """The bytes.translate table that takes each byte value b to b mod p."""
-    return bytes(b % p for b in range(256))
-
-
-class PackedPolynomialRing(ffpoly._Polys):
-    """Polynomials in x over F_p[t]/t^m, each packed into one int.
-
-    Slot i, the S = 2 top - 1 bytes from byte i S on, holds the x^i
-    coefficient, byte j its t^j coefficient. The stride is set by the
-    precision ``top`` that a lift doubles m up to, so a polynomial keeps
-    its int from one round to the next.
-
-    Needs length m (p - 1)^2 + p - 1 < 256, for polynomials of at most
-    ``length`` coefficients. Then the product of two of them is one int
-    product whose bytes stay below 256: byte j of slot i sums at most
-    length products of two elements, each byte of those at most
-    m (p - 1)^2, and a t-product of 2m - 1 bytes fits its slot. So no
-    byte carries into the next; a mask cuts each slot to m bytes and one
-    pass of the bytes through the mod-p table reduces the whole
-    polynomial (for p = 2, one AND with a 1 in each kept byte does). A
-    sum, or a difference a + p ONES - b, has every byte below 2 p.
-    Division by a monic h takes, per quotient coefficient c, one product
-    c * (-h) added to the reduced remainder, whose bytes stay below
-    m (p - 1)^2 + p - 1, and one reduction.
-    """
-
-    zero, one = 0, 1
-
-    def __init__(self, p, m, top, length):
-        self.length = m
-        self._table = _mod_table(p)
-        self._stride = 2 * top - 1
-        self._width = width = 8 * self._stride  # in bits
-        step = 1 << width
-        slots = (step ** (2 * length) - 1) // (step - 1)  # a 1 at the start of each of 2 length slots
-        self._slot_mask = ((1 << 8 * m) - 1) * slots
-        self._p_bytes = p * (step ** (2 * length) - 1) // 255
-        if p == 2:  # a byte below 256 is its lowest bit mod 2
-            self._reduce = (self._slot_mask // 255).__and__
-
-    def _reduce(self, x):
-        n = (x.bit_length() + 7) >> 3
-        return int.from_bytes(x.to_bytes(n, "little").translate(self._table), "little")
-
-    def pack(self, P):
-        """The image of a polynomial over F_p[t], or over this ring at a higher precision."""
-        if isinstance(P, int):
-            return P & self._slot_mask
-        m, stride = self.length, self._stride
-        return int.from_bytes(b"".join([bytes(c[:m]).ljust(stride, b"\0") for c in P]), "little")
-
-    def unpack(self, P):
-        m, stride = self.length, self._stride
-        n = -(-P.bit_length() // self._width) * stride
-        b = P.to_bytes(n, "little")
-        return tuple(tuple(b[i : i + m].rstrip(b"\0")) for i in range(0, n, stride))
-
-    def add(self, a, b):
-        return self._reduce(a + b)
-
-    def sub(self, a, b):
-        # p in every byte up to b's top byte keeps every byte of the difference positive
-        return self._reduce(a + (self._p_bytes & (1 << ((b.bit_length() + 7) & -8)) - 1) - b)
-
-    def mul(self, a, b):
-        return self._reduce(a * b & self._slot_mask)
-
-    def divmod(self, a, h):
-        width = self._width
-        d = (h.bit_length() - 1) // width
-        n = (a.bit_length() - 1) // width
-        negh = self.sub(0, h)
-        q = 0
-        for i in range(n - d, -1, -1):  # slot i + d is a's top slot here
-            c = a >> width * (i + d)
-            if c:
-                q |= c << width * i
-                a = self._reduce(a + (c * negh << width * i) & self._slot_mask)
-        return q, a
 
 
 class ValuedBase:

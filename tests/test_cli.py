@@ -341,6 +341,20 @@ def test_composite_prime_exits_2(capsys):
     assert err == "error[E_INPUT]: prime expected, got 3317044064679887385961981\n"
 
 
+@pytest.mark.parametrize("option, value, rest, code", [
+    ("--poly", "-2+x^2", ["check", "--prime", "5"], 0),
+    ("--poly", "-x+x^3-t", ["verify", "--base", "Fq", "--p", "3", "--pi", "t"], 0),
+    ("--pi", "-1+t", ["check", "--base", "Fq", "--p", "3", "--poly", "x^2 + t"], 0),
+    ("--primes", "-2,3", ["corpus", "--count", "1"], 2),
+])
+def test_value_with_a_leading_minus_reads_as_the_option_value(capsys, option, value, rest, code):
+    # argparse reads "-2+x^2" as an option unless it is joined to its option with "="
+    joined = run(capsys, *rest, f"{option}={value}")
+    spaced = run(capsys, *rest, option, value)
+    assert spaced == joined
+    assert spaced[0] == code and ("error[E_" in spaced[2]) == (code == 2)
+
+
 def test_exit_codes_and_stderr(capsys):
     code, out, err = run(capsys, "check", "--prime", "4", "--poly", "x")
     assert (code, out) == (2, "")

@@ -270,6 +270,30 @@ def test_screen_finds_large_rational_roots(base, c, g):
         assert f"x = {min(roots, key=lambda r: (abs(r), r < 0))} is a root" in str(e.value)
 
 
+def test_root_search_lifts_packed_at_pi_t(capsys):
+    # the auxiliary place of this input over F_5(t) at t^2 + 2 is t over F_5, so the
+    # Newton lift runs on packed ints and takes no product of the element ring
+    base = ValuedBase.function_field(5, 1, (2, 0, 1))
+    poly = "(x - t^3 - 2*t - 1)*(x^2 + t + 2)"
+    assert _aux_place(parse_poly(poly, base), base).ring.pi == (0, 1)
+    broken = AssertionError("element product taken")
+    with patch.object(rings.TruncatedFunctionRing, "mul", side_effect=broken):
+        assert main(["check", "--base", "Fq", "--p", "5", "--pi", "t^2+2", "--poly", poly]) == 2
+    err = capsys.readouterr().err
+    assert "error[E_REDUCIBLE]" in err and "x = t^3 + 2*t + 1 is a root" in err
+
+
+def test_root_search_above_2_to_the_128_lifts_on_tuples(capsys):
+    root = 1361129467683753853853498429727072845825  # above 2^128
+    assert root > 1 << 128
+    pack = rings._QuotientTuples.pack
+    with patch.object(rings._QuotientTuples, "pack", autospec=True, side_effect=pack) as spy:
+        assert main(["check", "--prime", "5", "--poly", f"(x - {root})*(x^2+3)"]) == 2
+    assert spy.call_count > 0
+    err = capsys.readouterr().err
+    assert "error[E_REDUCIBLE]" in err and f"x = {root} is a root" in err
+
+
 def test_assume_irreducible_skips_screen():
     v = dedekind_verdict((-4, 0, 1), B3, assume_irreducible=True)
     assert v.integrally_closed  # multiplicity one mod 3, screen skipped

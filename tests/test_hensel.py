@@ -29,7 +29,7 @@ from maxorder.fields import extension_field
 from maxorder.residue import residue_factorization
 from maxorder.rings import (
     IntegersModPrimePow,
-    PackedPolynomialRing,
+    TruncatedFunctionRing,
     ValuedBase,
     lift_residue_poly,
     reduce_mod,
@@ -49,7 +49,7 @@ BT4 = ValuedBase.function_field(2, 2, (_F4.zero, _F4.one))
 
 
 def _mod_poly(P, base, k):
-    ring = base.ring.truncated(k)
+    ring = IntegersModPrimePow(base.prime**k) if base.kind == "Q" else TruncatedFunctionRing(base.ring, k)
     return tuple(ring.mod(c) for c in P)
 
 
@@ -337,10 +337,10 @@ def test_lift_matches_exact_ring_oracle(data):
 BT5 = ValuedBase.function_field(5, 1, (0, 1))
 
 
-@pytest.mark.parametrize("k, packed", [(15, True), (16, False)])
-def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
+@pytest.mark.parametrize("k", [15, 16, 64])
+def test_lift_matches_oracle_past_the_old_byte_bound(k):
     # k = 15 and 16 straddle 16 k = 256, past which a product of two F_5[t]/t^k elements
-    # overflows a byte; the lift runs on tuples at both, as no length here packs polynomials
+    # overflowed a byte; every precision packs now
     rng = random.Random(44)
     field = BT5.ring.field
     lifted_any = 0
@@ -349,7 +349,7 @@ def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
             ffpoly.trim(field, [rng.randrange(5) for _ in range(rng.randint(0, 3))])
             for _ in range(rng.randint(2, 6))
         ) + (BT5.ring.one,)
-        assert not isinstance(BT5.ring.polys(k, k, len(f)), PackedPolynomialRing)
+        assert isinstance(BT5.ring.polys(k, k, len(f)), ffpoly._PackedSeries)
         rf = residue_factorization(f, BT5)
         lifted = hensel_lift(f, rf, BT5, k)
         assert lifted.factors == hensel_lift_oracle(f, rf, BT5, k)
@@ -361,11 +361,11 @@ def test_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, packed):
 DEGREE_12 = "x^3*(x+1)^2*(x^2+1)^2*(x+2)^3 + t"  # over F_3(t) at t, four repeated branches
 
 
-@pytest.mark.parametrize("k, packed", [(4, True), (8, False)])
-def test_degree_12_lift_matches_oracle_on_both_sides_of_the_polynomial_packing_bound(k, packed):
-    # whole polynomials of length 13 pack while 13 k (3 - 1)^2 + 2 < 256
+@pytest.mark.parametrize("k", [4, 8])
+def test_degree_12_lift_matches_oracle_past_the_old_byte_bound(k):
+    # whole polynomials of length 13 packed in bytes only while 13 k (3 - 1)^2 + 2 < 256
     ring = BT3.ring
-    assert isinstance(ring.polys(k, k, 13), PackedPolynomialRing) == packed
+    assert isinstance(ring.polys(k, k, 13), ffpoly._PackedSeries)
     product = parse_poly(DEGREE_12, BT3)
     rng = random.Random(45)
     for _ in range(6):
@@ -378,7 +378,7 @@ def test_degree_12_lift_matches_oracle_on_both_sides_of_the_polynomial_packing_b
         assert cross_resultant_check(lifted, BT3)
 
 
-def test_pinned_precisions_on_both_sides_of_the_polynomial_packing_bound(capsys):
+def test_pinned_precisions_agree_past_the_old_byte_bound(capsys):
     argv = ["verify", "--base", "Fq", "--p", "3", "--pi", "t", "--poly", DEGREE_12, "--assume-irreducible"]
     outputs = []
     for k in (4, 8):
@@ -390,8 +390,43 @@ def test_pinned_precisions_on_both_sides_of_the_polynomial_packing_bound(capsys)
     assert outputs[0].count(": pass\n") == 4 and "verify: all identities hold\n" in outputs[0]
 
 
+# verify --precision k stdout of the implementation that packed F_p[t]/t^m in bytes and lifted
+# past that bound on tuples
+PASS_HALF = "l = 2, deg phi = 1, nu(Res) = 1, omega = 1/2, l*omega = 1: pass"
+PINNED = [
+    (2, "x^3 + x^2 + t", 255, ["poly: x^3 + x^2 + t", "precision: 255", f"identity [0]: {PASS_HALF}"]),
+    (
+        3,
+        DEGREE_12,
+        32,
+        [
+            "poly: x^12 + 2*x^11 + x^8 + 2*x^7 + x^4 + 2*x^3 + t",
+            "precision: 32",
+            "identity [0]: l = 3, deg phi = 1, nu(Res) = 1, omega = 1/3, l*omega = 1: pass",
+            f"identity [1]: {PASS_HALF}",
+            "identity [2]: l = 3, deg phi = 1, nu(Res) = 1, omega = 1/3, l*omega = 1: pass",
+            "identity [3]: l = 2, deg phi = 2, nu(Res) = 2, omega = 1/2, l*omega = 1: pass",
+        ],
+    ),
+    (101, "(x+1)^2*(x+2) + t", 200, ["poly: x^3 + 4*x^2 + 5*x + t + 2", "precision: 200", f"identity [0]: {PASS_HALF}"]),
+]
+
+
+@pytest.mark.parametrize("p, poly, k, lines", PINNED, ids=["F2-k255", "F3-degree12-k32", "F101-k200"])
+def test_pinned_lifts_past_the_old_byte_bound(p, poly, k, lines, capsys):
+    base = ValuedBase.function_field(p, 1, (0, 1))
+    f = parse_poly(poly, base)
+    rf = residue_factorization(f, base)
+    lifted = hensel_lift(f, rf, base, k)
+    assert lifted.factors == hensel_lift_oracle(f, rf, base, k)
+    argv = ["verify", "--base", "Fq", "--p", str(p), "--pi", "t", "--poly", poly, "--assume-irreducible"]
+    assert main(argv + ["--precision", str(k)]) == 0
+    stdout = [f"base: F_{p}(t) at pi = t"] + lines + ["verify: all identities hold", ""]
+    assert capsys.readouterr().out == "\n".join(stdout)
+
+
 def test_verify_at_the_precision_cap_over_f2(capsys):
-    # two branches, x^2 and x + 1, lifted to t^1024 on tuples past the packing bound
+    # two branches, x^2 and x + 1, lifted to t^1024
     argv = ["verify", "--base", "Fq", "--p", "2", "--pi", "t", "--poly", "x^3 + x^2 + t"]
     assert main(argv + ["--precision", "1024"]) == 0
     out = capsys.readouterr().out

@@ -12,7 +12,6 @@ from maxorder.errors import InputError
 from maxorder.rings import (
     IntegerRing,
     IntegersModPrimePow,
-    PackedPolynomialRing,
     TruncatedFunctionRing,
     _QuotientTuples,
     ValuedBase,
@@ -270,38 +269,53 @@ def _b4():
     return ValuedBase.function_field(2, 2, (k.zero, k.one))
 
 
-def test_truncated_rings_fall_back_at_the_bound():
-    # every element ring of F_q[t] is on tuples: at pi = t over a prime field F_p on both
-    # sides of m (p - 1)^2 = 256, and at every other place
-    for base, bound in ((BT2, 256), (BT3, 64), (BT5, 16), (ValuedBase.function_field(7, 1, (0, 1)), 8)):
-        assert type(base.ring.truncated(bound - 1)) is TruncatedFunctionRing
-        assert type(base.ring.truncated(bound)) is TruncatedFunctionRing
+def test_tuple_fallback_holds_the_element_rings():
+    # past pi = t over a prime field, and over Z past p^top < 2^128, a polynomial is a tuple
+    # over the element ring; an element is a polynomial of length 1
     others = (_b4(), ValuedBase.function_field(2, 1, (1, 1)), ValuedBase.function_field(2, 1, (1, 1, 1)))
     for base in others:
-        assert type(base.ring.truncated(2)) is TruncatedFunctionRing
-    # built once per ring and precision
-    assert BT3.ring.truncated(5) is BT3.ring.truncated(5)
-    assert B3.ring.truncated(5) is B3.ring.truncated(5)
+        for m in (1, 2, 9):
+            P = base.ring.polys(m, 9, 1)
+            assert type(P) is _QuotientTuples and type(P.field) is TruncatedFunctionRing
+            if base.ring.pi != (base.ring.field.zero, base.ring.field.one):
+                assert P.field.modulus == ffpoly.pow_(base.ring.field, base.ring.pi, m)
+    P = B3.ring.polys(5, 81, 1)
+    assert type(P) is _QuotientTuples and type(P.field) is IntegersModPrimePow and P.field.modulus == 3**5
+    # at pi = t the element ring keeps a product's terms below t^m
+    ring, rng = _b4().ring, random.Random(9)
+    for m in (1, 3, 8):
+        T = TruncatedFunctionRing(ring, m)
+        for _ in range(20):
+            a, b = rand_t_elem(rng, ring, 6), rand_t_elem(rng, ring, 6)
+            ab = ffpoly.mul(ring.field, a, b)
+            assert T.mul(a, b) == ffpoly.trim(ring.field, ab[:m]) == T.mod(ab)
+    # the tuples unpack to the element rings' representatives, which are elements of R
+    P = B3.ring.polys(4, 81, 2)
+    assert P.unpack(P.pack((80, 83))) == (80, 2)
+    ring = ValuedBase.function_field(3, 1, (1, 0, 1)).ring  # pi = t^2 + 1
+    a, P = (1, 2, 0, 0, 0, 0, 1), ring.polys(3, 9, 1)
+    assert P.unpack(P.pack((a,))) == (TruncatedFunctionRing(ring, 3).mod(a),)
+    assert TruncatedFunctionRing(BT3.ring, 70).mod((1, 2)) == (1, 2)
+    # built once per ring, precision, top and length
+    assert BT3.ring.polys(5, 5, 1) is BT3.ring.polys(5, 5, 1)
+    assert B3.ring.polys(5, 5, 1) is B3.ring.polys(5, 5, 1)
     assert BT3.ring.polys(2, 4, 3) is BT3.ring.polys(2, 4, 3)
 
 
-# whole polynomials packed over F_p[t]/t^m against ffpoly over the tuple ring
-def _poly_pack_bound(p, length):
-    """The least top with length * top * (p - 1)^2 + p - 1 >= 256."""
-    return -(-(257 - p) // (length * (p - 1) ** 2))
+# whole polynomials packed over F_p[t]/t^m against ffpoly over the tuple ring, at every p, m and top
+SERIES_BASES = [BT2, BT3, BT5, ValuedBase.function_field(7, 1, (0, 1)), ValuedBase.function_field(101, 1, (0, 1))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_packed_polynomials_agree_with_ffpoly(data):
-    base = data.draw(st.sampled_from([BT2, BT3, BT5]))
+    base = data.draw(st.sampled_from(SERIES_BASES))
     ring, p = base.ring, base.p
     length = data.draw(st.integers(1, 12))
-    bound = _poly_pack_bound(p, length)
-    top = data.draw(st.integers(max(1, bound - 3), bound + 2))  # both sides of the bound
+    top = data.draw(st.integers(1, 70))  # past the byte bound of length top (p - 1)^2 + p - 1 < 256
     m = data.draw(st.integers(1, top))
     R, T = ring.polys(m, top, length), TruncatedFunctionRing(ring, m)
-    assert isinstance(R, PackedPolynomialRing) == (top < bound)
+    assert isinstance(R, ffpoly._PackedSeries)
     Tp = _QuotientTuples(T)
 
     def poly(min_len, max_len):
@@ -333,29 +347,35 @@ def test_packed_polynomials_agree_with_ffpoly(data):
     assert back(R.pack(H.pack(a))) == ta
 
 
-def test_packed_polynomials_fall_back_at_the_bound():
-    for base, p in ((BT2, 2), (BT3, 3), (BT5, 5)):
-        for length in (1, 2, 7, 13):
-            bound = _poly_pack_bound(p, length)
-            if bound < 2:
-                assert not isinstance(base.ring.polys(1, 1, length), PackedPolynomialRing)
-                continue
-            square = (p - 1) ** 2
-            assert length * (bound - 1) * square + p - 1 < 256 <= length * bound * square + p - 1
-            assert isinstance(base.ring.polys(bound - 1, bound - 1, length), PackedPolynomialRing)
-            assert not isinstance(base.ring.polys(bound, bound, length), PackedPolynomialRing)
-            # the choice follows top, not m
-            assert isinstance(base.ring.polys(1, bound - 1, length), PackedPolynomialRing)
-            assert not isinstance(base.ring.polys(1, bound, length), PackedPolynomialRing)
-    # F_3 at t, degree 12: packed up to precision 4 (13 * 4 * 4 + 2 = 210), not at 5 (262)
-    assert isinstance(BT3.ring.polys(4, 4, 13), PackedPolynomialRing)
-    assert not isinstance(BT3.ring.polys(5, 5, 13), PackedPolynomialRing)
-    # an element ring is never a polynomial domain, and away from pi = t over a prime
-    # field no polynomial is packed
-    for base in (BT3, _b4(), ValuedBase.function_field(3, 1, (1, 0, 1))):
-        assert not isinstance(base.ring.truncated(2), PackedPolynomialRing)
-    assert not isinstance(_b4().ring.polys(2, 2, 3), PackedPolynomialRing)
-    assert not isinstance(ValuedBase.function_field(3, 1, (1, 0, 1)).ring.polys(2, 2, 3), PackedPolynomialRing)
+def test_packed_series_selection():
+    # every pi = t over a prime field packs, at every precision, top and length
+    for base in SERIES_BASES + [ValuedBase.function_field(65537, 1, (0, 1))]:
+        for m, top, length in ((1, 1, 1), (2, 2, 13), (1, 128, 5), (255, 255, 3), (64, 300, 13)):
+            assert isinstance(base.ring.polys(m, top, length), ffpoly._PackedSeries)
+    # an extension field at t, and any other place, does not
+    for base in (_b4(), ValuedBase.function_field(3, 1, (1, 0, 1)), ValuedBase.function_field(2, 1, (1, 1))):
+        for m, top, length in ((1, 1, 1), (2, 2, 3), (4, 8, 13)):
+            assert type(base.ring.polys(m, top, length)) is _QuotientTuples
+    # built once per ring, precision, top and length
+    assert BT3.ring.polys(3, 9, 4) is BT3.ring.polys(3, 9, 4)
+    assert BT3.ring.polys(3, 9, 4) is not BT3.ring.polys(3, 9, 5)
+    assert BT3.ring.polys(3, 9, 4) is not BT3.ring.polys(3, 10, 4)
+    b4 = _b4()
+    assert b4.ring.polys(2, 2, 3) is b4.ring.polys(2, 2, 3)
+
+
+def test_packed_series_refuses_the_ops_of_x_coefficient_slots():
+    # a slot of F_p[t]/t^m packed in blocks is a t-coefficient: ops that read it as x's fail at once
+    R = BT3.ring.polys(2, 3, 4)
+    a = R.pack(((1, 2), (0, 1), (1,)))
+    for name in ("x", "deg", "lc", "scale", "derivative", "pth_root", "pow_mod"):
+        assert getattr(R, name) is None
+    for op in (R.monic, lambda v: R.gcd(v, R.one)):
+        with pytest.raises(TypeError):
+            op(a)
+    for op in (R.divmod, R.rem):
+        with pytest.raises(ZeroDivisionError):
+            op(a, R.zero)
 
 
 # whole polynomials packed over Z/p^m against ffpoly over the tuple ring
@@ -420,20 +440,11 @@ def test_packed_integer_polynomials_fall_back_at_the_bound():
         # the choice follows top, not m
         assert isinstance(ring.polys(1, bound, 5), ffpoly._Packed)
         assert type(ring.polys(1, bound + 1, 5).field) is IntegersModPrimePow
-        # an element ring is never a polynomial domain
-        assert type(ring.truncated(2)) is IntegersModPrimePow
+        # an element is a polynomial of length 1, over the element ring past the bound
+        assert type(ring.polys(2, bound + 1, 1).field) is IntegersModPrimePow
         # built once per precision, top and length
         assert ring.polys(3, 9, 4) is ring.polys(3, 9, 4)
         assert ring.polys(3, 9, 4) is not ring.polys(3, 9, 5)
-
-
-def test_to_ring_is_the_identity_outside_the_packed_ring():
-    assert B3.ring.truncated(4).to_ring(80) == 80
-    R = ValuedBase.function_field(3, 1, (1, 0, 1)).ring.truncated(3)  # pi = t^2 + 1
-    a = R.mod((1, 2, 0, 0, 0, 0, 1))
-    assert R.to_ring(a) == a
-    T = BT3.ring.truncated(70)
-    assert T.to_ring(T.mod((1, 2))) == (1, 2)
 
 
 def test_sigma_is_one():
