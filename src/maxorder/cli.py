@@ -14,10 +14,11 @@ canonical JSON document on stdout. For a fixed invocation and seed the
 output is byte-identical across runs.
 
 Exit status: 0 on success (and on an affirmative check), 1 on a
-negative check, 2 on unusable input (syntax errors, composite
-characteristic, a reducible polynomial, refusals on a negative verdict,
-exhausted precision), 3 on an internal invariant violation or any other
-unexpected error.
+negative check, 2 on unusable input (usage errors, which include
+abbreviated options, syntax errors, composite characteristic, a
+reducible polynomial, refusals on a negative verdict, exhausted
+precision), 3 on an internal invariant violation or any other
+unexpected error. Every error is one ``error[E_...]`` line on stderr.
 """
 
 import argparse
@@ -27,7 +28,7 @@ import sys
 
 from . import __version__, corpus as corpus_mod, ffpoly, rings
 from .criterion import count_extensions, dedekind_verdict, split_prime
-from .errors import EngineError, InputError, InternalInvariantError, PolyParseError
+from .errors import EngineError, InputError, InternalInvariantError, PolyParseError, UsageError
 from .fields import extension_field
 from .hensel import verify_valuation_identities
 from .rings import ValuedBase, poly_to_text
@@ -653,9 +654,27 @@ def run_corpus(args):
 
 VALUE_OPTIONS = ("--poly", "--pi", "--primes")
 
+POLY_COMMANDS = (  # (name, run, help) of the commands that read --poly
+    ("check", run_check, "decide whether R[alpha] is integrally closed"),
+    ("split", run_split, "splitting of the place on an affirmative check"),
+    ("verify", run_verify, "recompute valuation identities from lifted branches"),
+    ("count-extensions", run_count, "count the extensions of the valuation, when decidable"),
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``UsageError``, so they exit 2 with one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        # argparse quotes most values with repr, but not the unrecognized arguments
+        raise UsageError(f"{self.prog}: {message}".replace("\n", "\\n"))
+
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="maxorder",
         description=(
             "Decide whether R[alpha] is integrally closed for a monic "
@@ -668,7 +687,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    base_args = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="randomness seed")
+    common.add_argument(
+        "--json", action="store_true", help="emit one canonical JSON document"
+    )
+
+    base_args = _ArgumentParser(add_help=False)
     base_args.add_argument(
         "--base", choices=["Q", "Fq"], default="Q", help="ground field kind"
     )
@@ -680,12 +705,8 @@ def build_parser():
     base_args.add_argument(
         "--pi", help="monic irreducible pi(t) defining the place (base Fq)"
     )
-    base_args.add_argument("--seed", type=int, default=0, help="randomness seed")
-    base_args.add_argument(
-        "--json", action="store_true", help="emit one canonical JSON document"
-    )
 
-    poly_args = argparse.ArgumentParser(add_help=False)
+    poly_args = _ArgumentParser(add_help=False)
     poly_args.add_argument("--poly", required=True, help="monic polynomial in x")
     poly_args.add_argument(
         "--assume-irreducible",
@@ -693,41 +714,16 @@ def build_parser():
         help="skip the best-effort reducibility screen",
     )
 
-    p_check = sub.add_parser(
-        "check",
-        parents=[base_args, poly_args],
-        help="decide whether R[alpha] is integrally closed",
-    )
-    p_check.set_defaults(func=run_check)
-
-    p_split = sub.add_parser(
-        "split",
-        parents=[base_args, poly_args],
-        help="splitting of the place on an affirmative check",
-    )
-    p_split.set_defaults(func=run_split)
-
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[base_args, poly_args],
-        help="recompute valuation identities from lifted branches",
-    )
-    p_verify.add_argument(
+    for name, func, text in POLY_COMMANDS:
+        sub.add_parser(name, parents=[base_args, common, poly_args], help=text).set_defaults(func=func)
+    sub.choices["verify"].add_argument(
         "--precision",
         type=int,
         help="pin the working precision (default: automatic with retries)",
     )
-    p_verify.set_defaults(func=run_verify)
-
-    p_count = sub.add_parser(
-        "count-extensions",
-        parents=[base_args, poly_args],
-        help="count the extensions of the valuation, when decidable",
-    )
-    p_count.set_defaults(func=run_count)
 
     p_corpus = sub.add_parser(
-        "corpus", parents=[], help="randomized cross-validation over Q bases"
+        "corpus", parents=[common], help="randomized cross-validation over Q bases"
     )
     p_corpus.add_argument(
         "--primes",
@@ -739,10 +735,6 @@ def build_parser():
     )
     p_corpus.add_argument(
         "--max-deg", type=int, default=8, help="maximum degree (default 8)"
-    )
-    p_corpus.add_argument("--seed", type=int, default=0, help="randomness seed")
-    p_corpus.add_argument(
-        "--json", action="store_true", help="emit one canonical JSON document"
     )
     p_corpus.set_defaults(func=run_corpus)
 
@@ -758,8 +750,8 @@ def main(argv=None):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
-    args = parser.parse_args(joined)
     try:
+        args = parser.parse_args(joined)
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -146,9 +146,10 @@ def _fq_root_candidates(g, base, place):
     """
     aux, field = place.ring, place.residue_field
     gbar = reduce_mod(g, place)
-    x = ffpoly.x_poly(field)
-    split = ffpoly.gcd(field, gbar, ffpoly.sub(field, ffpoly.pow_mod(field, x, field.q, gbar), x))
-    if len(split) < 2:
+    P = ffpoly._polys(field, len(gbar))
+    G = P.pack(gbar)
+    split = P.gcd(G, P.sub(P.pow_mod(P.x, field.q, G), P.x))
+    if P.deg(split) < 1:
         return []
     if base.kind == "Q":
         bound = 2 * (1 + max(abs(a) for a in g[:-1]))
@@ -163,8 +164,8 @@ def _fq_root_candidates(g, base, place):
     dgbar = ffpoly.derivative(field, gbar)
     out = []
     top = aux.polys(need, need, 1)  # an element is a polynomial of length 1
-    for h in [split] if len(split) == 2 else ffpoly.equal_degree_split(field, split, 1, random.Random(0)):
-        root = field.neg(h[0])
+    for h in [split] if P.deg(split) == 1 else ffpoly.equal_degree_split(P, split, 1, random.Random(0)):
+        root = field.neg(P.unpack(h)[0])
         r, s = (top.pack((aux.lift(c),)) for c in (root, field.inv(ffpoly.evaluate(field, dgbar, root))))
         m = 1
         while m < need:  # r is a root and s is 1/g'(r) mod prime^m
@@ -253,9 +254,7 @@ def classical_check(f, base, rf):
     P = ring.polys(2, 2, len(f))
     if isinstance(P, rings._QuotientTuples):
         P = ffpoly._Tuples(ring)
-    gstar = P.one
-    for phi in rf.lifts:
-        gstar = P.mul(gstar, P.pack(phi))
+    gstar = P.product(map(P.pack, rf.lifts))
     hbar = (field.one,)
     for i in rf.repeated_indices:
         phibar, l = rf.factors[i]

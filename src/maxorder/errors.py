@@ -17,6 +17,12 @@ class InputError(EngineError):
     code = "E_INPUT"
 
 
+class UsageError(InputError):
+    """A command line that argparse refuses: unknown, missing or malformed options."""
+
+    code = "E_USAGE"
+
+
 class PolyParseError(InputError):
     """Syntax error in a polynomial expression; knows its position."""
 

@@ -17,8 +17,9 @@ distinct-degree splitting, and seeded equal-degree splitting with the
 additive-trace variant in characteristic 2. Irreducibility testing is
 Rabin's criterion.
 
-Each stage, Euclid and Rabin's test are written once, against a domain
-of polynomial ops (``_Polys``), in one of two representations. Over
+Each stage, Euclid, square-and-multiply and Rabin's test are written
+once, on the polynomial ops of ``_Polys``; a stage takes only those ops,
+which ``_polys`` builds for a field in one of two representations. Over
 Z/p^m, and so over a prime field F_p (m = 1), a polynomial is one
 Kronecker-packed int (``_Packed``): a product is one int product, a
 division reads one top slot per quotient digit, and one
@@ -142,13 +143,6 @@ def rem(field, a, b):
     return divmod_(field, a, b)[1]
 
 
-def quo(field, a, b):
-    q, r = divmod_(field, a, b)
-    if r:
-        raise ArithmeticError("polynomial quotient is not exact")
-    return q
-
-
 def gcd(field, a, b):
     """The monic gcd; 1 without a division when a or b is a nonzero constant."""
     if len(a) == 1 or len(b) == 1:
@@ -168,47 +162,48 @@ def egcd(field, a, b):
 
 
 def pow_mod(field, a, n, m):
-    """a^n mod m, by square-and-multiply.
-
-    Over a prime field the polynomials stay packed for the whole
-    exponentiation (``_pow_mod_prime``): a square or a product is one
-    int product, and its division by m is lazy, leaving every slot
-    unreduced until one pass reduces the remainder. ``_Packed`` bounds
-    every slot below 2 length p^2 for polynomials of at most length
-    coefficients, so no slot carries for any p. Other fields and rings
-    run the loop on tuples.
-    """
-    if isinstance(field, fields.PrimeField):
-        P = _Packed(field, max(len(a), len(m)))
-        return P.unpack(_pow_mod_prime(P, P.pack(a), n, P.pack(m)))
-    out = rem(field, (field.one,), m)
-    a = rem(field, a, m)
-    while n:
-        if n & 1:
-            out = rem(field, mul(field, out, a), m)
-        n >>= 1
-        if n:
-            a = rem(field, mul(field, a, a), m)
-    return out
-
-
-def _pow_mod_prime(P, a, n, m):
-    """``pow_mod`` on the packed ints of ``_Packed`` P, over the bits of n from the top."""
-    out = base = P.rem(a if n else P.one, m)
-    for bit in bin(n)[3:]:
-        out = P.mulmod(out, out, m)
-        if bit == "1":
-            out = P.mulmod(out, base, m)
-    return out
+    """a^n mod m by ``_Polys.pow_mod``: packed over a prime field, on tuples elsewhere."""
+    P = _polys(field, max(len(a), len(m)))
+    return P.unpack(P.pow_mod(P.pack(a), n, P.pack(m)))
 
 
 class _Polys:
     """The polynomial ops that Euclid and the factorization stages use.
 
     A subclass fixes the representation (``pack`` maps a tuple into it,
-    ``unpack`` back) and the primitive ops; gcd, egcd and exact division
-    are written here once, for both.
+    ``unpack`` back) and the primitive ops: ``deg``, ``lc``, ``add``,
+    ``sub``, ``mul``, ``scale`` and ``divmod``. Every algorithm is written
+    here once, for both; ``_Packed`` overrides only ``rem`` and ``mulmod``,
+    which leave the slots of a product unreduced until the remainder, and
+    ``derivative``, which walks the slots.
     """
+
+    def rem(self, a, b):
+        return self.divmod(a, b)[1]
+
+    def mulmod(self, a, b, m):
+        return self.rem(self.mul(a, b), m)
+
+    def pow_mod(self, a, n, m):
+        """a^n mod m, by square-and-multiply over the bits of n from the top."""
+        out = base = self.rem(a if n else self.one, m)
+        for bit in bin(n)[3:]:
+            out = self.mulmod(out, out, m)
+            if bit == "1":
+                out = self.mulmod(out, base, m)
+        return out
+
+    def product(self, factors):
+        out = self.one
+        for a in factors:
+            out = self.mul(out, a)
+        return out
+
+    def derivative(self, a):
+        return self.pack(derivative(self.field, self.unpack(a)))
+
+    def pth_root(self, a):
+        return self.pack(pth_root(self.field, self.unpack(a)))
 
     def quo(self, a, b):
         q, r = self.divmod(a, b)
@@ -280,21 +275,6 @@ class _Tuples(_Polys):
 
     def divmod(self, a, b):
         return divmod_(self.field, a, b)
-
-    def rem(self, a, b):
-        return divmod_(self.field, a, b)[1]
-
-    def mulmod(self, a, b, m):
-        return rem(self.field, mul(self.field, a, b), m)
-
-    def pow_mod(self, a, n, m):
-        return pow_mod(self.field, a, n, m)
-
-    def derivative(self, a):
-        return derivative(self.field, a)
-
-    def pth_root(self, a):
-        return pth_root(self.field, a)
 
     def order(self, pair):
         return sort_key(self.field, pair[0])
@@ -434,25 +414,11 @@ class _Packed(_Polys):
     def mulmod(self, a, b, m):
         return self._divide(a * b, m, False)
 
-    def pow_mod(self, a, n, m):
-        return _pow_mod_prime(self, a, n, m)
-
     def derivative(self, a):
         s, n = self._width, self.modulus
         out = 0
         for i in range(a.bit_length() // s, 0, -1):
             out = out << s | (a >> i * s & (1 << s) - 1) * i % n
-        return out
-
-    def pth_root(self, a):
-        s, p = self._width, self.field.p
-        out = 0
-        for i in range(a.bit_length() // s, -1, -1):
-            c = a >> i * s & (1 << s) - 1
-            if i % p == 0:
-                out = out << s | c
-            elif c:
-                raise ArithmeticError("polynomial is not a p-th power")
         return out
 
 
@@ -518,11 +484,6 @@ def _polys(field, length):
     return _Packed(field, length) if isinstance(field, fields.PrimeField) else _Tuples(field)
 
 
-def _domain(field):
-    """A stage's ops: the domain it was handed, or the tuples over a field."""
-    return field if isinstance(field, _Polys) else _Tuples(field)
-
-
 def derivative(field, a):
     return trim(field, [field.mul(field.from_int(i), a[i]) for i in range(1, len(a))])
 
@@ -546,15 +507,14 @@ def pth_root(field, a):
     return trim(field, out)
 
 
-def squarefree_decomposition(field, f):
+def squarefree_decomposition(P, f):
     """Pairwise-coprime squarefree parts of monic f with multiplicities.
 
     When the derivative vanishes the input is a p-th power (the field is
     perfect), and its p-th root is processed recursively with all
-    multiplicities scaled by p. ``field`` is a field, on tuples, or the
-    domain ``factor_monic`` passes, like every stage's.
+    multiplicities scaled by p. Like every stage, it runs on the ops P of
+    ``_Polys`` over a field, and f and the parts are in P's representation.
     """
-    P = _domain(field)
     c = P.gcd(f, P.derivative(f))
     if c == P.one:
         return ((f, 1),)
@@ -574,9 +534,8 @@ def squarefree_decomposition(field, f):
     return tuple(out)
 
 
-def distinct_degree_split(field, f):
+def distinct_degree_split(P, f):
     """Partition squarefree monic f into products of equal-degree factors."""
-    P = _domain(field)
     out = []
     x = P.x
     h = P.rem(x, f)
@@ -594,14 +553,13 @@ def distinct_degree_split(field, f):
     return tuple(out)
 
 
-def equal_degree_split(field, f, d, rng):
+def equal_degree_split(P, f, d, rng):
     """Split squarefree monic f whose irreducible factors all have degree d.
 
     Odd characteristic uses the classical (q^d - 1)/2 power map; in
     characteristic 2 the additive trace r + r^2 + ... + r^(2^(md-1))
     projects the factor algebra onto F_2 and its gcd with f splits.
     """
-    P = _domain(field)
     n = P.deg(f)
     if n == d:
         return [f]

@@ -92,14 +92,8 @@ def _lift_tree(fk, bars, base, k, length):
     if len(bars) == 1:
         return [fk]
     mid = len(bars) // 2
-    field = base.residue_field
-    gbar = (field.one,)
-    for u in bars[:mid]:
-        gbar = ffpoly.mul(field, gbar, u)
-    hbar = (field.one,)
-    for u in bars[mid:]:
-        hbar = ffpoly.mul(field, hbar, u)
-    g, h = _lift_pair(fk, gbar, hbar, base, k, length)
+    F = ffpoly._Tuples(base.residue_field)
+    g, h = _lift_pair(fk, F.product(bars[:mid]), F.product(bars[mid:]), base, k, length)
     return _lift_tree(g, bars[:mid], base, k, length) + _lift_tree(h, bars[mid:], base, k, length)
 
 
@@ -112,10 +106,7 @@ def hensel_lift(f, rf, base, k):
     fk = P.pack(f)
     powers = tuple(ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors)
     factors = _lift_tree(fk, powers, base, k, len(f))
-    prod = P.one
-    for F in factors:
-        prod = P.mul(prod, F)
-    if prod != fk:
+    if P.product(factors) != fk:
         raise InternalInvariantError("lifted branches do not multiply back to f")
     return LiftedFactorization(
         precision=k, factors=tuple(map(P.unpack, factors)), rf=rf, powers=powers

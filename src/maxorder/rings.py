@@ -16,7 +16,7 @@ the INF sentinel.
 
 A quotient R/prime^m is reached through ``polys(m, top, length)``: the
 ops of ``ffpoly._Polys`` (``pack``, ``unpack``, ``add``, ``sub``,
-``mul``, ``divmod`` by a monic divisor, ``zero``, ``one``) on
+``mul``, ``product``, ``divmod`` by a monic divisor, ``zero``, ``one``) on
 polynomials in x over R/prime^m of at most ``length`` coefficients. The
 Hensel lift and the classical check use them, and so does Newton's
 method in the screen, whose elements are polynomials of length 1. A

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxorder import cli
 from maxorder.cli import REPORT_SCHEMA, main, parse_poly
@@ -388,6 +392,28 @@ def test_exit_codes_and_stderr(capsys):
     assert err.startswith("error[E_PRECISION]:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--prime", "abc", "--poly", "x"],
+    ["check", "--prime", "5", "--pol", "-2+x^2"],  # abbreviations are refused, not guessed
+    ["check", "--prime", "5", "--pol", "x^2 - 2"],
+    [],
+    ["corpus", "--count", "1", "--json", "--seed"],
+    ["check", "--prime", "5", "--poly", "x", "stray\nline"],
+])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[E_USAGE]: maxorder") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["check", "-h"], ["corpus", "-h"]])
+def test_version_and_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_verify_precision_cap_exits_2(capsys):
     argv = ["verify", "--base", "Fq", "--p", "3", "--pi", "t^2 + 1", "--poly", "x^2 - t^2 - 1"]
     code, out, err = run(capsys, *argv, "--precision", "1025")
@@ -489,3 +515,72 @@ def test_seed_flag_changes_nothing(capsys):
         a = run(capsys, *cmd, "--prime", "7", "--poly", "x^2 - 7", "--seed", "0")
         b = run(capsys, *cmd, "--prime", "7", "--poly", "x^2 - 7", "--seed", "99")
         assert a == b
+
+
+# (valid, invalid) values of each option; a valid --poly may still be reducible or fail the check
+FUZZ_VALUES = {
+    "--prime": (["2", "3", "5"], ["4", "abc", "-3"]),
+    "--p": (["2", "3"], ["6", "x"]),
+    "--e": (["1", "2"], ["0"]),
+    "--pi": (["t", "t^2 + 1", "-1+t"], ["t^2", "t +"]),
+    "--poly": (
+        ["x^2 - 5", "-2+x^2", "x^4 + 2*x^3 + 3*x^2 + 4*x + 1", "x^3 + t", "x^2 - t*x + t", "(x + 1)^4 - 2"],
+        ["2*x^2 + 1", "x^2 -", "x^2 + u", "x^5 * x^", "(x"],
+    ),
+    "--seed": (["0", "7", "-1"], ["s"]),
+    "--precision": (["2", "9"], ["0", "abc"]),
+    "--primes": (["2", "2,3"], ["-2,3", "4", "a"]),
+    "--count": (["1"], ["0", "x"]),
+    "--max-deg": (["1", "4"], ["0"]),
+}
+BASE_OPTIONS = {"Q": ["--prime"], "Fq": ["--p", "--e", "--pi"]}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command, its options in any order, one in six values invalid, and at most one fault.
+
+    The fault drops an option, abbreviates it, leaves out its value, or
+    adds an unknown flag, an option of the other base or a stray value.
+    corpus always gets a --count and a --max-deg, whose defaults run for
+    seconds.
+    """
+    command = draw(st.sampled_from(["check", "split", "verify", "count-extensions", "corpus"]))
+    if command == "corpus":
+        options, flags, other = ["--seed", "--primes", "--count", "--max-deg"], ["--json"], "--prime"
+    else:
+        base = draw(st.sampled_from(["Q", "Fq"]))
+        options = ["--base", *BASE_OPTIONS[base], "--poly", "--seed"]
+        options += ["--precision"] if command == "verify" else []
+        flags, other = ["--json", "--assume-irreducible"], BASE_OPTIONS["Fq" if base == "Q" else "Q"][0]
+    options = draw(st.permutations(options))
+    values = [base if option == "--base" else draw(st.sampled_from(
+        FUZZ_VALUES[option][draw(st.integers(0, 5)) == 0])) for option in options]
+    argv = [command] + [a for pair in zip(options, values) for a in pair]
+    argv += draw(st.lists(st.sampled_from(flags), max_size=2, unique=True))
+    fault = draw(st.sampled_from([None, None, None, "missing", "abbreviated", "bare", "unknown", "other", "stray"]))
+    i = 1 + 2 * draw(st.integers(0, len(options) - 1))
+    if fault == "missing" and argv[i] not in ("--count", "--max-deg"):
+        del argv[i:i + 2]
+    elif fault == "abbreviated":
+        argv[i] = argv[i][:-1]
+    elif fault == "bare":
+        del argv[i + 1]
+    else:
+        argv += {"unknown": ["--bogus"], "other": [other, "3"], "stray": ["a\nb"]}.get(fault, [])
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert err.startswith("error[E_") and err.count("\n") == 1, (argv, err)
+        assert out.getvalue() == ""
+    else:
+        assert err == "" and out.getvalue(), argv

@@ -116,7 +116,7 @@ def test_squarefree_decomposition_reassembles():
             f = rand_poly(field, rng, 6, monic=True)
             if ffpoly.deg(f) < 1:
                 continue
-            parts = ffpoly.squarefree_decomposition(field, f)
+            parts = ffpoly.squarefree_decomposition(ffpoly._Tuples(field), f)
             prod = (field.one,)
             for g, m in parts:
                 assert ffpoly.is_monic(field, g)
@@ -180,10 +180,11 @@ def test_factor_matches_exhaustive_oracle_property(data):
 def factor_by_tuple_stages(field, f, seed):
     """The stages composed directly on tuples: the reference for the packed path."""
     rng = random.Random(seed)
+    T = ffpoly._Tuples(field)
     out = []
-    for part, m in ffpoly.squarefree_decomposition(field, f):
-        for prod, d in ffpoly.distinct_degree_split(field, part):
-            out += [(irr, m) for irr in ffpoly.equal_degree_split(field, prod, d, rng)]
+    for part, m in ffpoly.squarefree_decomposition(T, f):
+        for prod, d in ffpoly.distinct_degree_split(T, part):
+            out += [(irr, m) for irr in ffpoly.equal_degree_split(T, prod, d, rng)]
     return tuple(sorted(out, key=lambda fm: ffpoly.sort_key(field, fm[0])))
 
 
@@ -255,7 +256,7 @@ def test_pow_mod_packed_matches_oracle(case):
 @given(pow_mod_cases([extension_field(2, 2), extension_field(3, 2)]))
 def test_pow_mod_extension_fields_keep_the_tuple_loop(case):
     field, a, n, m = case
-    with patch.object(ffpoly, "_pow_mod_prime", side_effect=AssertionError("packed path taken")):
+    with patch.object(ffpoly, "_Packed", side_effect=AssertionError("packed path taken")):
         assert ffpoly.pow_mod(field, a, n, m) == pow_mod_oracle(field, a, n, m)
 
 
@@ -332,12 +333,57 @@ def test_extension_fields_never_pack():
 
 def test_pow_mod_takes_the_packed_path_over_prime_fields():
     field = PrimeField(13)
-    with patch.object(ffpoly, "_pow_mod_prime", wraps=ffpoly._pow_mod_prime) as packed:
+    with patch.object(ffpoly._Packed, "mulmod", autospec=True, side_effect=ffpoly._Packed.mulmod) as packed:
         ffpoly.factor_monic(field, (1, 2, 3, 4, 5, 6, 0, 1), seed=0)
         assert ffpoly.is_irreducible(field, (2, 1, 1))
     assert packed.call_count > 0
     with pytest.raises(ZeroDivisionError):
         ffpoly.pow_mod(field, (1, 1), 3, ())
+
+
+PROTOCOL_PRIMES = [2, 3, 101, 2**61 - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tuples_and_packed_agree_over_prime_fields(data):
+    """Every algorithm of ``_Polys`` on tuples against the same one on packed ints."""
+    field = PrimeField(data.draw(st.sampled_from(PROTOCOL_PRIMES)))
+    p, elem = field.p, st.integers(0, field.p - 1)
+    g = monic_of_degree(data.draw, field, data.draw(st.integers(1, 3)))
+    f = ffpoly.mul(field, ffpoly.pow_(field, g, data.draw(st.integers(1, 2))), monic_of_degree(
+        data.draw, field, data.draw(st.integers(0, 3))))
+    a = ffpoly.trim(field, data.draw(st.lists(elem, max_size=2 * len(f) + 2)))
+    n = data.draw(st.sampled_from([0, 1, p, (p ** 2 - 1) // 2, data.draw(st.integers(0, 10**6))]))
+    # a p-th power sum c_i x^(i p), and x times it, which is none
+    root = ffpoly.trim(field, data.draw(st.lists(elem, max_size={2: 3, 3: 3, 101: 2}.get(p, 1))))
+    power = tuple(sum(([0] * (p - 1) + [c] for c in root[1:]), list(root[:1])))
+    T, P = ffpoly._Tuples(field), ffpoly._Packed(field, max(len(a), len(f), len(power) + 1))
+
+    def agree(op, *args):
+        want = getattr(T, op)(*args)
+        assert P.unpack(getattr(P, op)(*(P.pack(u) if isinstance(u, tuple) else u for u in args))) == want
+        return want
+
+    assert agree("pow_mod", a, n, f) == pow_mod_oracle(field, a, n, f)
+    assert agree("rem", a, f) == ffpoly.rem(field, a, f)
+    assert agree("mulmod", a, a, f) == ffpoly.rem(field, ffpoly.mul(field, a, a), f)
+    assert agree("pth_root", power) == root
+    if root:
+        with pytest.raises(ArithmeticError):
+            T.pth_root((0,) + power)
+        with pytest.raises(ArithmeticError):
+            P.pth_root(P.pack((0,) + power))
+    seed = data.draw(st.integers(0, 99))
+    stages = []
+    for Q in (T, P):
+        rng, out = random.Random(seed), []
+        for part, m in ffpoly.squarefree_decomposition(Q, Q.pack(f)):
+            for prod, d in ffpoly.distinct_degree_split(Q, part):
+                out += [(Q.unpack(u), d, m) for u in ffpoly.equal_degree_split(Q, prod, d, rng)]
+        stages.append(out)
+    assert stages[0] == stages[1]
+    assert Counter({u: m for u, _, m in stages[0]}) == Counter(dict(ffpoly.factor_monic(field, f)))
 
 
 def test_factor_seed_independent_and_ordered():
