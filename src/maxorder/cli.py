@@ -31,7 +31,7 @@ from .criterion import count_extensions, dedekind_verdict, split_prime
 from .errors import EngineError, InputError, InternalInvariantError, PolyParseError, UsageError
 from .fields import extension_field
 from .hensel import verify_valuation_identities
-from .rings import ValuedBase, poly_to_text
+from .rings import FunctionRing, ValuedBase, poly_to_text
 
 EXPONENT_CAP = 4096
 DEGREE_CAP = 4096  # in x, and in t for the coefficients over F_q[t]
@@ -239,17 +239,16 @@ def _t_atoms(field, e):
 
 def parse_poly(text, base):
     """Parse a polynomial in x over the base's ring of integers."""
-    ring = base.ring
-    atoms = {"x": ffpoly.x_poly(ring)}
+    atoms = {"x": ffpoly.x_poly(base)}
     if base.kind == "Q":
         missing = {
             "t": "the variable 't' is only available over function field bases",
             "u": "the generator 'u' is only available over function field bases",
         }
     else:
-        atoms.update((name, (c,)) for name, c in _t_atoms(ring.field, base.e).items())
+        atoms.update((name, (c,)) for name, c in _t_atoms(base.field, base.e).items())
         missing = {"u": _NO_U}
-    return _Parser(_tokenize(text), ring, atoms, missing).parse()
+    return _Parser(_tokenize(text), base, atoms, missing).parse()
 
 
 def parse_place(text, field, e):
@@ -275,8 +274,7 @@ def make_base(args):
     if e < 1:
         raise InputError("--e must be at least 1")
     field = extension_field(args.p, e)
-    pi = parse_place(args.pi, field, e)
-    return ValuedBase.function_field(args.p, e, pi)
+    return FunctionRing(field, parse_place(args.pi, field, e))
 
 
 # ---------------------------------------------------------------------------

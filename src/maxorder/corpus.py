@@ -52,9 +52,9 @@ CorpusReport = namedtuple("CorpusReport", Counts + ("seed", "max_deg", "suites",
 
 def random_coefficient(rng, base, t_degree=COEFFICIENT_T_DEGREE):
     if base.kind == "Q":
-        bound = 4 * base.prime * base.prime
+        bound = 4 * base.p * base.p
         return rng.randint(-bound, bound)
-    field = base.ring.field
+    field = base.field
     return ffpoly.trim(
         field, [field.element(rng.randrange(field.q)) for _ in range(t_degree + 1)]
     )
@@ -63,13 +63,12 @@ def random_coefficient(rng, base, t_degree=COEFFICIENT_T_DEGREE):
 def random_monic_poly(rng, base, max_deg):
     d = rng.randint(1, max_deg)
     coeffs = [random_coefficient(rng, base) for _ in range(d)]
-    coeffs.append(base.ring.one)
+    coeffs.append(base.one)
     return tuple(coeffs)
 
 
 def perturbed_lifts(rng, rf, base):
     """Replace each canonical lift phi by phi + prime * U, deg U < deg phi."""
-    ring = base.ring
     out = []
     for phi in rf.lifts:
         m = ffpoly.deg(phi)
@@ -77,8 +76,8 @@ def perturbed_lifts(rng, rf, base):
             U = [rng.randint(-LIFT_PERTURBATION_BOUND, LIFT_PERTURBATION_BOUND) for _ in range(m)]
         else:
             U = [random_coefficient(rng, base, 1) for _ in range(m)]
-        shift = ffpoly.scale(ring, ffpoly.trim(ring, U), base.prime_element)
-        out.append(ffpoly.add(ring, phi, shift))
+        shift = ffpoly.scale(base, ffpoly.trim(base, U), base.prime_element)
+        out.append(ffpoly.add(base, phi, shift))
     return tuple(out)
 
 

@@ -4,8 +4,8 @@ The reduction f_bar = prod phibar_i^(l_i) is a coprime factorization
 into the branch reductions phibar_i^(l_i), so it lifts to a branch
 factorization f = prod F_i modulo any power of the prime, computed in
 R/prime^k and checked branch by branch in the residue field. The lift
-uses only the polynomial ops that ``polys(m, k, len f)`` of the base's
-ring gives: one int per polynomial over Z/p^m for p^k below 2^128 and
+uses only the polynomial ops that the base's ``polys(m, k, len f)``
+gives: one int per polynomial over Z/p^m for p^k below 2^128 and
 over F_p[t]/t^m at pi = t for every p, where a product is one int
 product and one reduction pass, and tuples over the other quotients.
 
@@ -67,12 +67,12 @@ def _lift_pair(fk, gbar, hbar, base, k, length):
     d, sbar, tbar = ffpoly.egcd(field, gbar, hbar)
     if d != (field.one,):
         raise InternalInvariantError("branch reductions are not coprime")
-    top = base.ring.polys(k, k, length)
+    top = base.polys(k, k, length)
     g, h, s, t = (top.pack(rings.lift_residue_poly(u, base)) for u in (gbar, hbar, sbar, tbar))
     m = 1
     while m < k:
         m = min(2 * m, k)
-        P = base.ring.polys(m, k, length)
+        P = base.polys(m, k, length)
         f = P.pack(fk)
         e = P.sub(f, P.mul(g, h))
         h = P.add(h, P.divmod(P.mul(s, e), h)[1])
@@ -102,7 +102,7 @@ def hensel_lift(f, rf, base, k):
     if k < 1:
         raise InputError("precision must be at least 1")
     field = base.residue_field
-    P = base.ring.polys(k, k, len(f))
+    P = base.polys(k, k, len(f))
     fk = P.pack(f)
     powers = tuple(ffpoly.pow_(field, phibar, l) for phibar, l in rf.factors)
     factors = _lift_tree(fk, powers, base, k, len(f))
@@ -138,8 +138,7 @@ def lift_root_valuation(lifted, index, base):
     _, l = lifted.rf.factors[index]
     if l < 2:
         raise InputError("root valuation is read off repeated residue factors")
-    ring = base.ring
-    v = ring.valuation(resultant(lifted.factors[index], lifted.rf.lifts[index], ring))
+    v = base.valuation(resultant(lifted.factors[index], lifted.rf.lifts[index], base))
     return v if v < lifted.precision else None
 
 

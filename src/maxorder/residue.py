@@ -32,8 +32,7 @@ class ResidueFactorization(namedtuple("ResidueFactorization", "factors lifts")):
 
 def check_lift(phi, phibar, base):
     """Validate a caller-supplied lift: monic, right degree, right image."""
-    ring = base.ring
-    if not ffpoly.is_monic(ring, phi):
+    if not ffpoly.is_monic(base, phi):
         raise InputError("lift must be monic")
     if ffpoly.deg(phi) != ffpoly.deg(phibar):
         raise InputError("lift must have the same degree as the residue factor")
@@ -48,7 +47,7 @@ def residue_factorization(f, base, seed=0, lifts=None):
     ``lifts`` optionally overrides the canonical lifts; it must supply
     one monic lift per factor, in the canonical factor order.
     """
-    if len(f) < 2 or not ffpoly.is_monic(base.ring, f):
+    if len(f) < 2 or not ffpoly.is_monic(base, f):
         raise InputError("polynomial must be monic of degree >= 1 over the ring of integers")
     factors = ffpoly.factor_monic(base.residue_field, rings.reduce_mod(f, base), seed=seed)
     if lifts is None:

@@ -1,11 +1,12 @@
-"""Valued bases, their rings of integers, resultants and canonical text.
+"""Valued bases as their rings of integers, resultants and canonical text.
 
 A base is either the rationals with a p-adic valuation, or a rational
-function field F_q(t) with the place of a monic irreducible pi(t). The
-engine computes inside the global rings Z and F_q[t]: both are closed
-under everything it needs (division by monic polynomials, resultants,
-reduction, canonical lifts), so no fractions ever appear and every value
-is exact.
+function field F_q(t) with the place of a monic irreducible pi(t). It
+is one object, its global ring of integers: ``IntegerRing`` (Z) or
+``FunctionRing`` (F_q[t]), each a ``ValuedBase``. The engine computes
+inside these rings: both are closed under everything it needs (division
+by monic polynomials, resultants, reduction, canonical lifts), so no
+fractions ever appear and every value is exact.
 
 Ring elements are Python ints for Z and trimmed tuples of F_q elements
 for F_q[t]. A polynomial in x over a ring is a trimmed tuple of ring
@@ -43,10 +44,54 @@ from .ffpoly import MINUS_INF
 INF = math.inf
 
 
-class IntegerRing:
-    """Z carrying the p-adic valuation data."""
+class ValuedBase:
+    """A ground field with one fixed discrete rank-one place, as its ring of integers.
+
+    Either (Q, p), an ``IntegerRing``, or (F_q(t), pi), a ``FunctionRing``:
+    the engine computes in the global ring of integers, Z or F_q[t], and
+    ``residue_field`` is the residue field of the place.
+    """
+
+    _places = None
+
+    @staticmethod
+    def rational(p):
+        return IntegerRing(p)
+
+    @staticmethod
+    def function_field(p, e, pi_coeffs):
+        """F_{p^e}(t) at the place of the monic irreducible pi.
+
+        ``pi_coeffs`` is a polynomial in t over F_{p^e}, given as a
+        trimmed tuple of field elements.
+        """
+        return FunctionRing(extension_field(p, e), pi_coeffs)
+
+    def places(self):
+        """Every place of the base's global field, in one fixed order.
+
+        Over Q these are the primes; over F_q(t) the monic irreducibles
+        of F_q[t] by degree, then in the order of ``fields.irreducibles``.
+        Each place is built once per base, and later calls reuse it.
+        """
+        if self._places is None:
+            if self.kind == "Q":
+                fresh = (IntegerRing(ell) for ell in count(2) if is_prime(ell))
+            else:
+                fresh = (FunctionRing(self.field, pi) for d in count(1) for pi in irreducibles(self.field, d))
+            self._places = ([], fresh)
+        built, fresh = self._places
+        for i in count():
+            if i == len(built):
+                built.append(next(fresh))
+            yield built[i]
+
+
+class IntegerRing(ValuedBase):
+    """Q at the prime p, computed in Z."""
 
     kind = "Q"
+    char = 0
 
     def __init__(self, p):
         if not is_prime(p):
@@ -103,9 +148,12 @@ class IntegerRing:
     def from_int(self, n):
         return n
 
+    def describe(self):
+        return f"Q at p = {self.p}"
 
-class FunctionRing:
-    """F_q[t] carrying the pi-adic valuation data."""
+
+class FunctionRing(ValuedBase):
+    """F_q(t) at the place of the monic irreducible pi, computed in F_q[t]."""
 
     kind = "Fq"
 
@@ -119,7 +167,8 @@ class FunctionRing:
         if not ffpoly.is_irreducible(field, pi):
             raise InputError("pi must be irreducible over the coefficient field")
         self.field = field
-        self.p = field.p
+        self.p = self.char = field.p
+        self.e = 1 if isinstance(field, PrimeField) else field.dim
         self.pi = pi
         self.pi_degree = d
         self._pi_is_t = pi == (field.zero, field.one)
@@ -198,6 +247,9 @@ class FunctionRing:
     def from_int(self, n):
         return ffpoly.constant(self.field, self.field.from_int(n))
 
+    def describe(self):
+        return f"F_{self.field.q}(t) at pi = {element_to_text(self.pi, self)}"
+
 
 class IntegersModPrimePow:
     """Z/p^m on the representatives 0 <= a < p^m, as ``ffpoly`` needs it."""
@@ -252,71 +304,6 @@ class _QuotientTuples(ffpoly._Tuples):
         return ffpoly.trim(self.field, [self.field.mod(c) for c in P])
 
 
-class ValuedBase:
-    """A ground field with one fixed discrete rank-one place.
-
-    Either (Q, p) or (F_q(t), pi). The least positive value of the value
-    group, sigma, is always 1 for these bases. The attached ``ring`` is
-    the global ring of integers the engine computes in, and
-    ``residue_field`` is the residue field of the place.
-    """
-
-    sigma = 1
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.kind = ring.kind
-        self.residue_field = ring.residue_field
-        self.prime_element = ring.prime_element
-        if ring.kind == "Q":
-            self.prime, self.char = ring.p, 0
-        else:
-            self.coefficient_field = field = ring.field
-            self.p = self.char = field.p
-            self.e = 1 if isinstance(field, PrimeField) else field.dim
-        self._places = None
-
-    @classmethod
-    def rational(cls, p):
-        return cls(IntegerRing(p))
-
-    @classmethod
-    def function_field(cls, p, e, pi_coeffs):
-        """F_{p^e}(t) at the place of the monic irreducible pi.
-
-        ``pi_coeffs`` is a polynomial in t over F_{p^e}, given as a
-        trimmed tuple of field elements.
-        """
-        return cls(FunctionRing(extension_field(p, e), pi_coeffs))
-
-    def places(self):
-        """Every place of the base's global field, in one fixed order.
-
-        Over Q these are the primes; over F_q(t) the monic irreducibles
-        of F_q[t] by degree, then in the order of ``fields.irreducibles``.
-        Each place is built once per base, and later calls reuse it.
-        """
-        if self._places is None:
-            if self.kind == "Q":
-                fresh = (ValuedBase.rational(ell) for ell in count(2) if is_prime(ell))
-            else:
-                field = self.coefficient_field
-                fresh = (
-                    ValuedBase(FunctionRing(field, pi)) for d in count(1) for pi in irreducibles(field, d)
-                )
-            self._places = ([], fresh)
-        built, fresh = self._places
-        for i in count():
-            if i == len(built):
-                built.append(next(fresh))
-            yield built[i]
-
-    def describe(self):
-        if self.kind == "Q":
-            return f"Q at p = {self.prime}"
-        return f"F_{self.coefficient_field.q}(t) at pi = {element_to_text(self.ring.pi, self)}"
-
-
 # ---------------------------------------------------------------------------
 # polynomials in x over a base ring
 
@@ -333,7 +320,7 @@ def gauss_valuation(P, base):
     """Minimum coefficient valuation; INF for the zero polynomial."""
     v = INF
     for c in P:
-        cv = base.ring.valuation(c)
+        cv = base.valuation(c)
         if cv < v:
             v = cv
             if v == 0:
@@ -343,12 +330,12 @@ def gauss_valuation(P, base):
 
 def reduce_mod(P, base):
     """Coefficient-wise image of P in the residue field."""
-    return ffpoly.trim(base.residue_field, [base.ring.reduce(c) for c in P])
+    return ffpoly.trim(base.residue_field, [base.reduce(c) for c in P])
 
 
 def lift_residue_poly(Pbar, base):
     """Canonical coefficient-wise lift of a residue polynomial."""
-    return ffpoly.trim(base.ring, [base.ring.lift(c) for c in Pbar])
+    return ffpoly.trim(base, [base.lift(c) for c in Pbar])
 
 
 # ---------------------------------------------------------------------------
@@ -438,90 +425,38 @@ def discriminant(f, ring):
 # canonical text form
 
 
-def _fq_elem_text(field, c):
-    """An F_q element as a polynomial in the generator u (plain int at e=1)."""
-    if isinstance(field, PrimeField):
-        return str(c)
-    terms = []
-    for i in range(field.dim - 1, -1, -1):
-        a = c[i]
-        if a == field.base.zero:
-            continue
-        if i == 0:
-            terms.append(str(a))
-        elif a == field.base.one:
-            terms.append("u" if i == 1 else f"u^{i}")
-        else:
-            terms.append(f"{a}*u" if i == 1 else f"{a}*u^{i}")
-    return " + ".join(terms) if terms else "0"
+def _terms(coeffs, var, text, zero):
+    """A polynomial in ``var`` with coefficients rendered by ``text``, terms from the top.
 
-
-def _tpoly_text(ring, a):
-    """An F_q[t] element in the t/u grammar the parser accepts back."""
-    if not a:
-        return "0"
-    field = ring.field
-    terms = []
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == field.zero:
+    A coefficient 1 is left out (-1 leaves its sign), a sum is put in
+    parentheses, a negative term is subtracted, and zero is "0".
+    """
+    out = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i] == zero:
             continue
-        ct = _fq_elem_text(field, c)
+        ct = text(coeffs[i])
         if i == 0:
-            terms.append(ct)
+            out.append(ct)
             continue
-        tpow = "t" if i == 1 else f"t^{i}"
-        if c == field.one:
-            terms.append(tpow)
-        elif "+" in ct:
-            terms.append(f"({ct})*{tpow}")
+        power = var if i == 1 else f"{var}^{i}"
+        if ct in ("1", "-1"):
+            out.append(ct[:-1] + power)
         else:
-            terms.append(f"{ct}*{tpow}")
-    return " + ".join(terms)
+            out.append(f"({ct})*{power}" if "+" in ct else f"{ct}*{power}")
+    return " + ".join(out).replace("+ -", "- ") or "0"
 
 
 def poly_to_text(P, base, var="x"):
     """Canonical, re-parseable text form of a polynomial over the base."""
-    if not P:
-        return "0"
-    ring = base.ring
-    pieces = []
-    for i in range(len(P) - 1, -1, -1):
-        c = P[i]
-        if ring.is_zero(c):
-            continue
-        if base.kind == "Q":
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = var if i == 1 else f"{var}^{i}"
-            else:
-                body = f"{mag}*{var}" if i == 1 else f"{mag}*{var}^{i}"
-        else:
-            sign = "+"
-            ct = _tpoly_text(ring, c)
-            if i == 0:
-                body = ct
-            else:
-                xpow = var if i == 1 else f"{var}^{i}"
-                if c == ring.one:
-                    body = xpow
-                elif "+" in ct:
-                    body = f"({ct})*{xpow}"
-                else:
-                    body = f"{ct}*{xpow}"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _terms(P, var, lambda c: element_to_text(c, base), base.zero)
 
 
 def element_to_text(a, base):
-    """Canonical text of one ring element (prime elements, remainders)."""
+    """Canonical text of one ring element: an int, or a polynomial in t whose
+    coefficients in F_q are polynomials in its generator u when e > 1."""
     if base.kind == "Q":
         return str(a)
-    return _tpoly_text(base.ring, a)
+    if base.e == 1:
+        return _terms(a, "t", str, 0)
+    return _terms(a, "t", lambda c: _terms(c, "u", str, 0), base.field.zero)

@@ -203,7 +203,7 @@ def fq_root_candidates_unfiltered(f, base, cap=256):
     """Every unit times every monic divisor of f(0) in F_q[t], with the
     divisor list built and capped as the screen builds it: (q - 1) per
     divisor."""
-    ring = base.ring
+    ring = base
     field = ring.field
     monic = ffpoly.scale(field, f[0], field.inv(f[0][-1])) if f[0] else ()
     divisors = [ring.one]
@@ -226,7 +226,7 @@ def fq_root_candidates_unfiltered(f, base, cap=256):
 
 def _poly_mod(P, base, k):
     """Coefficients reduced to the canonical representatives mod prime^k."""
-    ring = base.ring
+    ring = base
     if base.kind == "Q":
         return ffpoly.trim(ring, [c % ring.p ** k for c in P])
     modulus = ffpoly.pow_(ring.field, ring.pi, k)
@@ -236,7 +236,7 @@ def _poly_mod(P, base, k):
 def _lift_pair_oracle(fk, gbar, hbar, base, k):
     """Quadratic Hensel lift of fk = g*h computed over the whole ring,
     every intermediate truncated mod prime^(2m) afterwards."""
-    ring = base.ring
+    ring = base
     field = base.residue_field
     d, sbar, tbar = ffpoly.egcd(field, gbar, hbar)
     assert d == (field.one,)
@@ -291,7 +291,7 @@ def hensel_lift_oracle(f, rf, base, k):
 def classical_check_oracle(f, base, rf):
     """gcd(T_bar, g*_bar, h*_bar) = 1 with g* h* - f = prime * T multiplied
     out exactly in R, with no truncation."""
-    ring = base.ring
+    ring = base
     field = base.residue_field
     gstar = (ring.one,)
     for phi in rf.lifts:

@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import math
+from unittest.mock import patch
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxorder import cli
+from maxorder import cli, fields
 from maxorder.cli import REPORT_SCHEMA, main, parse_poly
 from maxorder.errors import PolyParseError
 from maxorder.rings import ValuedBase
@@ -135,7 +136,7 @@ def test_parse_work_cap_prices_field_operations():
 ])
 def test_parse_work_cap_weights_field_operations(p, e, kind, accepted, refused):
     base = ValuedBase.function_field(p, e, (0, 1) if e == 1 else ((0, 0), (1, 0)))
-    field = base.ring.field
+    field = base.field
     assert type(field).__name__ == kind and (field.op_cost == 1) == (kind != "QuotientField")
     assert len(parse_poly(f"(t*x + t + 1)^{accepted}", base)) == accepted + 1
     with pytest.raises(PolyParseError, match="work of the result exceeds the cap") as refusal:
@@ -508,6 +509,14 @@ def test_extension_coefficient_field(capsys):
     payload = json.loads(out)
     assert payload["base"] == "F_9(t) at pi = t^2 + u + 2"
     assert payload["verdict"]["integrally_closed"] is True
+
+
+def test_check_builds_the_coefficient_field_once(capsys):
+    # --pi is parsed over F_{p^e}, and the base reuses that field
+    with patch.object(fields, "quotient_field", wraps=fields.quotient_field) as built:
+        code, out, _ = run(capsys, "check", "--base", "Fq", "--p", "2", "--e", "16", "--pi", "t", "--poly", "x^2 - t")
+    assert code == 0 and out.startswith("base: F_65536(t) at pi = t\n")
+    assert built.call_count == 1
 
 
 def test_seed_flag_changes_nothing(capsys):

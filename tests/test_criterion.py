@@ -259,11 +259,11 @@ def test_reducible_root_of_inner_descent_polynomial(p, text, root):
     st.lists(st.integers(-50, 50), min_size=1, max_size=4),
 )
 def test_screen_finds_large_rational_roots(base, c, g):
-    f = ffpoly.mul(base.ring, (-c, 1), tuple(g) + (1,))
+    f = ffpoly.mul(base, (-c, 1), tuple(g) + (1,))
     with pytest.raises(ReduciblePolynomialError) as e:
         require_no_reducibility_witness(f, base)
     # the integer roots of g lie within Cauchy's bound 1 + 50
-    roots = {c} | {r for r in range(-51, 52) if ffpoly.evaluate(base.ring, tuple(g) + (1,), r) == 0}
+    roots = {c} | {r for r in range(-51, 52) if ffpoly.evaluate(base, tuple(g) + (1,), r) == 0}
     if 0 in roots:
         assert "x divides" in str(e.value)
     elif "zero discriminant" not in str(e.value):
@@ -275,7 +275,7 @@ def test_root_search_lifts_packed_at_pi_t(capsys):
     # Newton lift runs on packed ints and takes no product of the element ring
     base = ValuedBase.function_field(5, 1, (2, 0, 1))
     poly = "(x - t^3 - 2*t - 1)*(x^2 + t + 2)"
-    assert _aux_place(parse_poly(poly, base), base).ring.pi == (0, 1)
+    assert _aux_place(parse_poly(poly, base), base).pi == (0, 1)
     broken = AssertionError("element product taken")
     with patch.object(rings.TruncatedFunctionRing, "mul", side_effect=broken):
         assert main(["check", "--base", "Fq", "--p", "5", "--pi", "t^2+2", "--poly", poly]) == 2
@@ -336,7 +336,7 @@ def _small_poly(rng, base, n):
     """n random coefficients of size at most 9 over Z, of t-degree at most 3 over F_q[t]."""
     if base.kind == "Q":
         return tuple(rng.randint(-9, 9) for _ in range(n))
-    field = base.ring.field
+    field = base.field
     return tuple(
         ffpoly.trim(field, [field.element(rng.randrange(field.q)) for _ in range(rng.randint(0, 4))])
         for _ in range(n)
@@ -352,7 +352,7 @@ def test_classical_check_matches_exact_ring_oracle(base, monkeypatch):
     monkeypatch.setattr(criterion, "poly_divmod_monic", unused)
     monkeypatch.setattr(rings, "resultant", unused)
     rng = random.Random(12)
-    ring = base.ring
+    ring = base
     seen = set()
     for _ in range(60):
         g = _small_poly(rng, base, rng.randint(1, 2)) + (ring.one,)
@@ -381,7 +381,7 @@ def test_classical_check_matches_exact_ring_oracle(base, monkeypatch):
 def test_classical_check_on_squarefree_residue_matches_oracle(base):
     # f_bar squarefree, so h*_bar = 1 and the check holds without the gcd with g*_bar
     rng = random.Random(14)
-    ring = base.ring
+    ring = base
     field = base.residue_field
     checked = 0
     for _ in range(40):
@@ -400,7 +400,7 @@ def test_classical_check_on_squarefree_residue_matches_oracle(base):
 def test_classical_check_takes_no_power_on_a_squarefree_residue(base, monkeypatch):
     # h*_bar multiplies the repeated factors only, so a squarefree f_bar needs no power
     rng = random.Random(15)
-    ring = base.ring
+    ring = base
     cases = []
     for _ in range(40):
         f = _small_poly(rng, base, rng.randint(1, 5)) + (ring.one,)
@@ -420,7 +420,7 @@ def test_classical_check_takes_no_power_on_a_squarefree_residue(base, monkeypatc
 
 @pytest.mark.parametrize("base", CLASSICAL_BASES, ids=lambda b: b.describe())
 def test_classical_check_refuses_a_factorization_that_does_not_multiply_back(base):
-    ring = base.ring
+    ring = base
     f = _small_poly(random.Random(13), base, 4) + (ring.one,)
     rf = residue_factorization(f, base)
     wrong = ffpoly.add(ring, f, (ring.one,))  # reduces to f_bar + 1
@@ -462,7 +462,7 @@ SCREEN_BASES = [_at_t(3, 1), _at_t(2, 2), _at_t(5, 1), _at_t(3, 2)]  # F_3, F_4,
 def _poly_with_root(draw):
     """f = (x - c) g over F_q[t], with c and the coefficients of g of t-degree <= 2."""
     base = draw(st.sampled_from(SCREEN_BASES))
-    ring, field = base.ring, base.ring.field
+    ring, field = base, base.field
 
     def tpoly():
         digits = draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=3))
@@ -477,7 +477,7 @@ def _poly_with_root(draw):
 @given(_poly_with_root())
 def test_screen_candidates_keep_every_root(case):
     base, f = case
-    ring = base.ring
+    ring = base
     with pytest.raises(ReduciblePolynomialError) as screened:
         require_no_reducibility_witness(f, base)
     message = str(screened.value)
@@ -518,7 +518,7 @@ CERTIFICATE_BASES = [
 def _screen_input(draw):
     """A monic product of small factors, often with a squared or an inseparable one."""
     base = draw(st.sampled_from(CERTIFICATE_BASES))
-    ring = base.ring
+    ring = base
 
     if base.kind == "Q":
         coefficient = st.integers(-6, 6)
@@ -551,7 +551,7 @@ def _screen_input(draw):
 @given(_screen_input())
 def test_aux_place_certificate_is_sound_and_changes_no_result(case):
     base, f = case
-    ring = base.ring
+    ring = base
     if _aux_place(f, base) is not None:
         assert not ring.is_zero(rings.discriminant(f, ring))
     fast = _reducibility_witness(f, base)
@@ -570,9 +570,9 @@ def test_places_are_built_once_per_base():
         assert built.call_count == AUX_PLACES
     places = list(islice(base.places(), AUX_PLACES + 2))
     assert all(P is Q for P, Q in zip(places, base.places()))
-    in_order = (pi for d in count(1) for pi in irreducibles(base.ring.field, d))
-    assert [P.ring.pi for P in places] == list(islice(in_order, AUX_PLACES + 2))
-    assert [P.prime for P in islice(B5.places(), 5)] == [2, 3, 5, 7, 11]
+    in_order = (pi for d in count(1) for pi in irreducibles(base.field, d))
+    assert [P.pi for P in places] == list(islice(in_order, AUX_PLACES + 2))
+    assert [P.p for P in islice(B5.places(), 5)] == [2, 3, 5, 7, 11]
 
 
 def _discriminant_calls(f, base, monkeypatch):

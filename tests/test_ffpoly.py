@@ -416,8 +416,8 @@ def test_distinct_degree_factors_build_no_generator():
 
 
 def test_is_irreducible_against_oracle():
-    for field in (PrimeField(2), PrimeField(3)):
-        for d in (1, 2, 3, 4):
+    for field in (PrimeField(2), PrimeField(3), extension_field(2, 2)):
+        for d in (1, 2, 3, 4, 5):
             for f in all_monic_polys(field, d):
                 want = len(factor_exhaustive(field, f)) == 1 and sum(
                     factor_exhaustive(field, f).values()
@@ -450,8 +450,8 @@ F9 = extension_field(3, 2)
 SUB_DOMAINS = [  # F_p, F_9, Z and F_9[t]
     PrimeField(7),
     F9,
-    ValuedBase.rational(2).ring,
-    ValuedBase.function_field(3, 2, (F9.zero, F9.one)).ring,
+    ValuedBase.rational(2),
+    ValuedBase.function_field(3, 2, (F9.zero, F9.one)),
 ]
 
 

@@ -140,7 +140,7 @@ def test_irreducibles_lists_each_once_in_order():
     from maxorder import ffpoly
 
     # the number of monic irreducibles of degree d over F_q, by Gauss's formula
-    for p, d, count in ((2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (5, 3, 40)):
+    for p, d, count in ((2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (5, 3, 40), (2, 8, 30)):
         F = PrimeField(p)
         found = list(irreducibles(F, d))
         assert len(found) == count

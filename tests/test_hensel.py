@@ -49,7 +49,7 @@ BT4 = ValuedBase.function_field(2, 2, (_F4.zero, _F4.one))
 
 
 def _mod_poly(P, base, k):
-    ring = IntegersModPrimePow(base.prime**k) if base.kind == "Q" else TruncatedFunctionRing(base.ring, k)
+    ring = IntegersModPrimePow(base.p**k) if base.kind == "Q" else TruncatedFunctionRing(base, k)
     return tuple(ring.mod(c) for c in P)
 
 
@@ -79,7 +79,7 @@ def test_single_branch_no_lifting():
 def test_lift_product_property_rational():
     rng = random.Random(40)
     for p, base in ((5, B5), (3, B3)):
-        ring = base.ring
+        ring = base
         for _ in range(60):
             d = rng.randint(2, 7)
             f = tuple(rng.randint(-40, 40) for _ in range(d)) + (1,)
@@ -100,7 +100,7 @@ def test_lift_product_property_rational():
 def test_lift_product_property_function_field():
     rng = random.Random(41)
     base = BT3
-    ring = base.ring
+    ring = base
     field = ring.field
     for _ in range(40):
         d = rng.randint(2, 5)
@@ -129,8 +129,8 @@ def test_cross_check_rejects_tampered_branches():
         rf = residue_factorization(f, base)
         lifted = hensel_lift(f, rf, base, 3)
         F0, F1 = lifted.factors
-        unit = (base.ring.one,)  # not a multiple of the prime
-        for factors in ((F1, F0), (ffpoly.add(base.ring, F0, unit), F1), (F0,)):
+        unit = (base.one,)  # not a multiple of the prime
+        for factors in ((F1, F0), (ffpoly.add(base, F0, unit), F1), (F0,)):
             with pytest.raises(InternalInvariantError):
                 cross_resultant_check(lifted._replace(factors=factors), base)
 
@@ -182,7 +182,7 @@ PROPERTY_BASES = [B2, B3, B5, BT2, BT3]
 def _coefficient(draw, base):
     if base.kind == "Q":
         return draw(st.integers(-20, 20))
-    field = base.ring.field
+    field = base.field
     digits = draw(st.lists(st.integers(0, field.q - 1), max_size=3))
     return ffpoly.trim(field, [field.element(i) for i in digits])
 
@@ -190,7 +190,7 @@ def _coefficient(draw, base):
 @st.composite
 def _monic(draw, base, min_deg, max_deg):
     n = draw(st.integers(min_deg, max_deg))
-    return tuple(_coefficient(draw, base) for _ in range(n)) + (base.ring.one,)
+    return tuple(_coefficient(draw, base) for _ in range(n)) + (base.one,)
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,7 +200,7 @@ def test_repeated_factors_never_reach_verify(data):
     base = data.draw(st.sampled_from(PROPERTY_BASES))
     g = data.draw(_monic(base, 1, 3))
     h = data.draw(_monic(base, 0, 3))
-    ring = base.ring
+    ring = base
     f = ffpoly.mul(ring, ffpoly.mul(ring, g, g), h)
     assert not dedekind_verdict(f, base, assume_irreducible=True).integrally_closed
     with pytest.raises(VerdictFalseError):
@@ -226,7 +226,7 @@ AFFIRMATIVE_CASES = [(base, _irreducibles(base, 3)) for base in PROPERTY_BASES]
 def test_auto_precision_certifies_in_one_round(data):
     # f = prod phi_j^l_j + pi*r, phibar_j not dividing rbar for each repeated j: affirmative
     base, irreducibles = data.draw(st.sampled_from(AFFIRMATIVE_CASES))
-    ring, field = base.ring, base.residue_field
+    ring, field = base, base.residue_field
     bars = data.draw(st.lists(st.sampled_from(irreducibles), min_size=1, max_size=3, unique=True))
     ls = [data.draw(st.integers(2 if j == 0 else 1, 3)) for j in range(len(bars))]
     n = sum(l * ffpoly.deg(phibar) for phibar, l in zip(bars, ls))
@@ -342,14 +342,14 @@ def test_lift_matches_oracle_past_the_old_byte_bound(k):
     # k = 15 and 16 straddle 16 k = 256, past which a product of two F_5[t]/t^k elements
     # overflowed a byte; every precision packs now
     rng = random.Random(44)
-    field = BT5.ring.field
+    field = BT5.field
     lifted_any = 0
     for _ in range(12):
         f = tuple(
             ffpoly.trim(field, [rng.randrange(5) for _ in range(rng.randint(0, 3))])
             for _ in range(rng.randint(2, 6))
-        ) + (BT5.ring.one,)
-        assert isinstance(BT5.ring.polys(k, k, len(f)), ffpoly._PackedSeries)
+        ) + (BT5.one,)
+        assert isinstance(BT5.polys(k, k, len(f)), ffpoly._PackedSeries)
         rf = residue_factorization(f, BT5)
         lifted = hensel_lift(f, rf, BT5, k)
         assert lifted.factors == hensel_lift_oracle(f, rf, BT5, k)
@@ -364,7 +364,7 @@ DEGREE_12 = "x^3*(x+1)^2*(x^2+1)^2*(x+2)^3 + t"  # over F_3(t) at t, four repeat
 @pytest.mark.parametrize("k", [4, 8])
 def test_degree_12_lift_matches_oracle_past_the_old_byte_bound(k):
     # whole polynomials of length 13 packed in bytes only while 13 k (3 - 1)^2 + 2 < 256
-    ring = BT3.ring
+    ring = BT3
     assert isinstance(ring.polys(k, k, 13), ffpoly._PackedSeries)
     product = parse_poly(DEGREE_12, BT3)
     rng = random.Random(45)
@@ -440,7 +440,7 @@ def test_rational_lift_matches_oracle_on_both_sides_of_the_packing_bound(k, pack
     lifted_any = 0
     for _ in range(12):
         f = tuple(rng.randint(-40, 40) for _ in range(rng.randint(2, 7))) + (1,)
-        assert isinstance(B2.ring.polys(k, k, len(f)), ffpoly._Packed) == packed
+        assert isinstance(B2.polys(k, k, len(f)), ffpoly._Packed) == packed
         rf = residue_factorization(f, B2)
         lifted = hensel_lift(f, rf, B2, k)
         assert lifted.factors == hensel_lift_oracle(f, rf, B2, k)

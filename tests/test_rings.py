@@ -40,7 +40,7 @@ def rand_int_poly(rng, max_deg, bound=50, monic=False):
     coeffs = [rng.randint(-bound, bound) for _ in range(d + 1)]
     if monic:
         coeffs[-1] = 1
-    return ffpoly.trim(B2.ring, coeffs)
+    return ffpoly.trim(B2, coeffs)
 
 
 def rand_t_elem(rng, ring, tdeg=2):
@@ -49,7 +49,7 @@ def rand_t_elem(rng, ring, tdeg=2):
 
 
 def rand_fq_poly(rng, base, max_deg, monic=False):
-    ring = base.ring
+    ring = base
     d = rng.randint(0, max_deg)
     coeffs = [rand_t_elem(rng, ring) for _ in range(d + 1)]
     if monic:
@@ -58,7 +58,7 @@ def rand_fq_poly(rng, base, max_deg, monic=False):
 
 
 def test_integer_ring_valuation():
-    R = B2.ring
+    R = B2
     assert R.valuation(0) == math.inf
     rng = random.Random(10)
     for _ in range(200):
@@ -69,25 +69,25 @@ def test_integer_ring_valuation():
 
 
 def test_function_ring_valuation_and_reduce():
-    R = BT3.ring
+    R = BT3
     t = (0, 1)
     assert R.valuation(()) == math.inf
     assert R.valuation((0, 0, 2)) == 2
     assert R.valuation((1, 2)) == 0
-    assert BT3.ring.reduce((2, 1, 1)) == 2  # value at t = 0
-    assert BT3.ring.lift(2) == (2,)
+    assert BT3.reduce((2, 1, 1)) == 2  # value at t = 0
+    assert BT3.lift(2) == (2,)
     # deg-2 place: residue field is a quadratic extension
     Bq = ValuedBase.function_field(2, 1, (1, 1, 1))  # pi = t^2+t+1
     k = Bq.residue_field
     assert k.q == 4
-    cls = Bq.ring.reduce((0, 1))  # class of t
+    cls = Bq.reduce((0, 1))  # class of t
     assert k.mul(cls, cls) == k.add(cls, k.one)  # t^2 = t+1 mod pi
 
 
 def test_poly_divmod_monic_property():
     rng = random.Random(11)
     for base, gen in ((B3, rand_int_poly), (BT2, None)):
-        ring = base.ring
+        ring = base
         for _ in range(100):
             if base.kind == "Q":
                 f = rand_int_poly(rng, 7)
@@ -103,7 +103,7 @@ def test_poly_divmod_monic_property():
 
 
 def test_divmod_frozen_example():
-    q, r = poly_divmod_monic((-5, 0, 1), (1, 1), B2.ring)
+    q, r = poly_divmod_monic((-5, 0, 1), (1, 1), B2)
     assert q == (-1, 1)  # x - 1
     assert r == (-4,)
 
@@ -129,7 +129,7 @@ def test_reduce_and_lift_roundtrip():
 
 def test_resultant_matches_sylvester_over_z():
     rng = random.Random(13)
-    ring = B2.ring
+    ring = B2
     for _ in range(120):
         f = rand_int_poly(rng, 6)
         g = rand_int_poly(rng, 6)
@@ -146,7 +146,7 @@ def test_resultant_matches_sylvester_over_z():
 def test_resultant_matches_sylvester_over_fqt():
     rng = random.Random(14)
     for base in (BT2, BT3):
-        ring = base.ring
+        ring = base
         for _ in range(60):
             f = rand_fq_poly(rng, base, 5)
             g = rand_fq_poly(rng, base, 5)
@@ -168,7 +168,7 @@ def _ring_element(draw, ring, nonzero=False):
 @given(st.data())
 def test_resultant_matches_sylvester_property(data):
     # a monic second argument takes the pseudo-remainder's shortcut
-    ring = data.draw(st.sampled_from([B2.ring, BT2.ring, _b9().ring]))
+    ring = data.draw(st.sampled_from([B2, BT2, _b9()]))
     dg = data.draw(st.integers(1, 4))
     df = data.draw(st.integers(dg, 6))
     f = tuple(_ring_element(data.draw, ring) for _ in range(df)) + (
@@ -180,7 +180,7 @@ def test_resultant_matches_sylvester_property(data):
 
 
 def test_resultant_known_values():
-    ring = B2.ring
+    ring = B2
     assert resultant((-3, 0, 1), (1, 1), ring) == -2
     a, b = 17, 5
     assert resultant((-a, 1), (-b, 1), ring) == a - b
@@ -198,19 +198,19 @@ def test_resultant_known_values():
 
 
 def test_discriminant_values():
-    ring = B2.ring
+    ring = B2
     assert discriminant((-5, 0, 1), ring) == 20
     assert discriminant((-2, 0, 0, 1), ring) == -108
     assert discriminant((7, 1), ring) == 1
     # char 2: d/dx (x^2 - t) = 0, so the discriminant is zero
-    R = BT2.ring
+    R = BT2
     assert discriminant(((0, 1), (), (1,)), R) == ()
     with pytest.raises(InputError):
         discriminant((2, 2), ring)  # not monic
 
 
 def test_poly_eval_and_derivative():
-    ring = B3.ring
+    ring = B3
     f = (1, 0, 2, 1)
     assert ffpoly.evaluate(ring, f, 2) == 1 + 0 + 8 + 8
     assert ffpoly.derivative(ring, f) == (0, 4, 3)
@@ -222,7 +222,7 @@ def test_poly_to_text_frozen():
     assert poly_to_text((), B2) == "0"
     assert poly_to_text((-4,), B2) == "-4"
     assert poly_to_text((0, -2, 0, 1), B2) == "x^3 - 2*x"
-    R = BT2.ring
+    R = BT2
     f = ((0, 1), (), (1,))
     assert poly_to_text(f, BT2) == "x^2 + t"
     g = ((1, 1), (0, 0, 1), (1,))  # x^2 + t^2 x + (t+1)
@@ -258,7 +258,7 @@ def _poly_over(draw, ring, max_deg=5):
 @given(st.data())
 def test_text_parse_roundtrip_property(data):
     base = data.draw(st.sampled_from([B2, B11, BT2, BT3, BT5, _b9(), _b4()]))
-    f = _poly_over(data.draw, base.ring)
+    f = _poly_over(data.draw, base)
     assert parse_poly(poly_to_text(f, base), base) == f
 
 
@@ -275,14 +275,14 @@ def test_tuple_fallback_holds_the_element_rings():
     others = (_b4(), ValuedBase.function_field(2, 1, (1, 1)), ValuedBase.function_field(2, 1, (1, 1, 1)))
     for base in others:
         for m in (1, 2, 9):
-            P = base.ring.polys(m, 9, 1)
+            P = base.polys(m, 9, 1)
             assert type(P) is _QuotientTuples and type(P.field) is TruncatedFunctionRing
-            if base.ring.pi != (base.ring.field.zero, base.ring.field.one):
-                assert P.field.modulus == ffpoly.pow_(base.ring.field, base.ring.pi, m)
-    P = B3.ring.polys(5, 81, 1)
+            if base.pi != (base.field.zero, base.field.one):
+                assert P.field.modulus == ffpoly.pow_(base.field, base.pi, m)
+    P = B3.polys(5, 81, 1)
     assert type(P) is _QuotientTuples and type(P.field) is IntegersModPrimePow and P.field.modulus == 3**5
     # at pi = t the element ring keeps a product's terms below t^m
-    ring, rng = _b4().ring, random.Random(9)
+    ring, rng = _b4(), random.Random(9)
     for m in (1, 3, 8):
         T = TruncatedFunctionRing(ring, m)
         for _ in range(20):
@@ -290,16 +290,16 @@ def test_tuple_fallback_holds_the_element_rings():
             ab = ffpoly.mul(ring.field, a, b)
             assert T.mul(a, b) == ffpoly.trim(ring.field, ab[:m]) == T.mod(ab)
     # the tuples unpack to the element rings' representatives, which are elements of R
-    P = B3.ring.polys(4, 81, 2)
+    P = B3.polys(4, 81, 2)
     assert P.unpack(P.pack((80, 83))) == (80, 2)
-    ring = ValuedBase.function_field(3, 1, (1, 0, 1)).ring  # pi = t^2 + 1
+    ring = ValuedBase.function_field(3, 1, (1, 0, 1))  # pi = t^2 + 1
     a, P = (1, 2, 0, 0, 0, 0, 1), ring.polys(3, 9, 1)
     assert P.unpack(P.pack((a,))) == (TruncatedFunctionRing(ring, 3).mod(a),)
-    assert TruncatedFunctionRing(BT3.ring, 70).mod((1, 2)) == (1, 2)
+    assert TruncatedFunctionRing(BT3, 70).mod((1, 2)) == (1, 2)
     # built once per ring, precision, top and length
-    assert BT3.ring.polys(5, 5, 1) is BT3.ring.polys(5, 5, 1)
-    assert B3.ring.polys(5, 5, 1) is B3.ring.polys(5, 5, 1)
-    assert BT3.ring.polys(2, 4, 3) is BT3.ring.polys(2, 4, 3)
+    assert BT3.polys(5, 5, 1) is BT3.polys(5, 5, 1)
+    assert B3.polys(5, 5, 1) is B3.polys(5, 5, 1)
+    assert BT3.polys(2, 4, 3) is BT3.polys(2, 4, 3)
 
 
 # whole polynomials packed over F_p[t]/t^m against ffpoly over the tuple ring, at every p, m and top
@@ -310,7 +310,7 @@ SERIES_BASES = [BT2, BT3, BT5, ValuedBase.function_field(7, 1, (0, 1)), ValuedBa
 @given(st.data())
 def test_packed_polynomials_agree_with_ffpoly(data):
     base = data.draw(st.sampled_from(SERIES_BASES))
-    ring, p = base.ring, base.p
+    ring, p = base, base.p
     length = data.draw(st.integers(1, 12))
     top = data.draw(st.integers(1, 70))  # past the byte bound of length top (p - 1)^2 + p - 1 < 256
     m = data.draw(st.integers(1, top))
@@ -351,22 +351,22 @@ def test_packed_series_selection():
     # every pi = t over a prime field packs, at every precision, top and length
     for base in SERIES_BASES + [ValuedBase.function_field(65537, 1, (0, 1))]:
         for m, top, length in ((1, 1, 1), (2, 2, 13), (1, 128, 5), (255, 255, 3), (64, 300, 13)):
-            assert isinstance(base.ring.polys(m, top, length), ffpoly._PackedSeries)
+            assert isinstance(base.polys(m, top, length), ffpoly._PackedSeries)
     # an extension field at t, and any other place, does not
     for base in (_b4(), ValuedBase.function_field(3, 1, (1, 0, 1)), ValuedBase.function_field(2, 1, (1, 1))):
         for m, top, length in ((1, 1, 1), (2, 2, 3), (4, 8, 13)):
-            assert type(base.ring.polys(m, top, length)) is _QuotientTuples
+            assert type(base.polys(m, top, length)) is _QuotientTuples
     # built once per ring, precision, top and length
-    assert BT3.ring.polys(3, 9, 4) is BT3.ring.polys(3, 9, 4)
-    assert BT3.ring.polys(3, 9, 4) is not BT3.ring.polys(3, 9, 5)
-    assert BT3.ring.polys(3, 9, 4) is not BT3.ring.polys(3, 10, 4)
+    assert BT3.polys(3, 9, 4) is BT3.polys(3, 9, 4)
+    assert BT3.polys(3, 9, 4) is not BT3.polys(3, 9, 5)
+    assert BT3.polys(3, 9, 4) is not BT3.polys(3, 10, 4)
     b4 = _b4()
-    assert b4.ring.polys(2, 2, 3) is b4.ring.polys(2, 2, 3)
+    assert b4.polys(2, 2, 3) is b4.polys(2, 2, 3)
 
 
 def test_packed_series_refuses_the_ops_of_x_coefficient_slots():
     # a slot of F_p[t]/t^m packed in blocks is a t-coefficient: ops that read it as x's fail at once
-    R = BT3.ring.polys(2, 3, 4)
+    R = BT3.polys(2, 3, 4)
     a = R.pack(((1, 2), (0, 1), (1,)))
     for name in ("x", "deg", "lc", "scale", "derivative", "pth_root", "pow_mod"):
         assert getattr(R, name) is None
@@ -445,11 +445,6 @@ def test_packed_integer_polynomials_fall_back_at_the_bound():
         # built once per precision, top and length
         assert ring.polys(3, 9, 4) is ring.polys(3, 9, 4)
         assert ring.polys(3, 9, 4) is not ring.polys(3, 9, 5)
-
-
-def test_sigma_is_one():
-    assert B2.sigma == 1
-    assert BT2.sigma == 1
 
 
 def test_describe():
