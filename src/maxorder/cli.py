@@ -39,6 +39,7 @@ COEFFICIENT_BITS_CAP = 16384  # over Z
 WORK_CAP = 1 << 23  # nonzero terms x terms x coefficient words of one product
 FQ_WORK_CAP = 1 << 19  # F_p operations of one product over F_q[t]
 FQ_CALL_COST = 20  # F_p operations that take as long as one coefficient step over F_q[t]
+EXTENSION_DEGREE_CAP = 64  # --e; fields.MODULUS_SCAN_CAP bounds the search for a modulus
 DEFAULT_CORPUS_PRIMES = "2,3,5,7,11,13"
 
 
@@ -271,8 +272,8 @@ def make_base(args):
     if args.pi is None:
         raise InputError("--pi is required for base Fq")
     e = args.e if args.e is not None else 1
-    if e < 1:
-        raise InputError("--e must be at least 1")
+    if not 1 <= e <= EXTENSION_DEGREE_CAP:
+        raise InputError(f"--e must be at least 1 and at most {EXTENSION_DEGREE_CAP}")
     field = extension_field(args.p, e)
     return FunctionRing(field, parse_place(args.pi, field, e))
 

@@ -113,28 +113,41 @@ def frobenius_descent(f, base):
     return InseparabilityDescent(depth, cur)
 
 
-def _aux_place(g, base):
+def _aux_place(g, base, shared=None):
     """The first of the first AUX_PLACES places where monic g is squarefree.
 
     As g is monic, disc(g) maps to the discriminant of its image at
     every place, so a place found proves that disc(g) is nonzero. None
     proves nothing.
+
+    With ``shared``, a dict with the ``seed`` of a verdict on g, the scan
+    factors g at the base's own place for that verdict instead of the gcd
+    test, into ``shared["rf"]``. g is squarefree there if every l_i is 1;
+    then -phibar(0) of the linear phibar are its residue roots, ``shared["roots"]``.
     """
     for place in islice(base.places(), AUX_PLACES):
         field = place.residue_field
+        if shared is not None and place.prime_element == base.prime_element:
+            shared["rf"] = rf = residue_factorization(g, base, seed=shared["seed"])
+            if all(l == 1 for _, l in rf.factors):
+                shared["roots"] = [field.neg(phibar[0]) for phibar, _ in rf.factors if len(phibar) == 2]
+                return place
+            continue
         gbar = reduce_mod(g, place)
         if ffpoly.gcd(field, gbar, ffpoly.derivative(field, gbar)) == (field.one,):
             return place
     return None
 
 
-def _fq_root_candidates(g, base, place):
+def _fq_root_candidates(g, base, place, roots=None):
     """At most deg g candidates that include every root of monic g over R.
 
     g must be squarefree at the auxiliary ``place``, so every root of g
-    reduces to a simple root there, read off gcd(g, x^Q - x), and is the
-    unique Newton lift of it, computed on polynomials of length 1 of
-    ``polys``. The lift stops once a residue pins the
+    reduces to a simple root there and is the unique Newton lift of it,
+    computed on polynomials of length 1 of ``polys``. The simple roots
+    are ``roots`` when the caller has them from a factorization of g at
+    ``place``, and are read off gcd(g, x^Q - x) otherwise. The lift stops
+    once a residue pins the
     root: over Z mod ell^k > 2 (1 + max |a_i|), Cauchy's bound, then the
     symmetric residue; over F_q[t] mod pi^k with k deg pi > deg_t c,
     where deg_t c <= deg_t a_i / (n - i) for some i, or nothing could
@@ -144,10 +157,14 @@ def _fq_root_candidates(g, base, place):
     """
     field = place.residue_field
     gbar = reduce_mod(g, place)
-    P = ffpoly._polys(field, len(gbar))
-    G = P.pack(gbar)
-    split = P.gcd(G, P.sub(P.pow_mod(P.x, field.q, G), P.x))
-    if P.deg(split) < 1:
+    if roots is None:
+        P = ffpoly._polys(field, len(gbar))
+        G = P.pack(gbar)
+        split = P.gcd(G, P.sub(P.pow_mod(P.x, field.q, G), P.x))
+        d = P.deg(split)
+        linear = [] if d < 1 else [split] if d == 1 else ffpoly.equal_degree_split(P, split, 1, random.Random(0))
+        roots = [field.neg(P.unpack(h)[0]) for h in linear]
+    if not roots:
         return []
     if base.kind == "Q":
         bound = 2 * (1 + max(abs(a) for a in g[:-1]))
@@ -162,8 +179,7 @@ def _fq_root_candidates(g, base, place):
     dgbar = ffpoly.derivative(field, gbar)
     out = []
     top = place.polys(need, need, 1)  # an element is a polynomial of length 1
-    for h in [split] if P.deg(split) == 1 else ffpoly.equal_degree_split(P, split, 1, random.Random(0)):
-        root = field.neg(P.unpack(h)[0])
+    for root in roots:
         r, s = (top.pack((place.lift(c),)) for c in (root, field.inv(ffpoly.evaluate(field, dgbar, root))))
         m = 1
         while m < need:  # r is a root and s is 1/g'(r) mod prime^m
@@ -180,12 +196,15 @@ def _fq_root_candidates(g, base, place):
     return sorted(out, key=lambda c: ffpoly.sort_key(base.field, c))
 
 
-def _reducibility_witness(f, base):
+def _reducibility_witness(f, base, shared=None):
     """A human-readable proof of reducibility, or None if none was found.
 
     Every returned witness is sound. A repeated factor and a root over K
     are always found, of f or, when f = g(x^(p^d)) with d >= 1, of the
-    inner polynomial g; None says nothing about other factors.
+    inner polynomial g; None says nothing about other factors. Without a
+    descent g = f, and ``shared`` goes to ``_aux_place``. A candidate c is
+    evaluated only if it divides g(0), as every root of monic g does;
+    g(0) != 0, since the constant term is tested first and the descent keeps it.
     """
     if ffpoly.deg(f) < 2:
         return None
@@ -198,7 +217,7 @@ def _reducibility_witness(f, base):
     if ffpoly.deg(g) < 2:  # x^(p^d) - c is a p-th power or irreducible
         return None
     whose = "inner polynomial of the inseparability descent" if desc.depth else "polynomial"
-    place = _aux_place(g, base)
+    place = _aux_place(g, base, None if desc.depth else shared)
     if place is None:
         disc = discriminant(g, base)
         if base.is_zero(disc):
@@ -206,8 +225,9 @@ def _reducibility_witness(f, base):
             factor = "repeated or inseparable factor" if base.char else "repeated factor"
             return f"the {whose} has a {factor} (zero discriminant)"
         place = next(P for P in base.places() if P.reduce(disc) != P.residue_field.zero)
-    for c in _fq_root_candidates(g, base, place):
-        if base.is_zero(ffpoly.evaluate(base, g, c)):
+    for c in _fq_root_candidates(g, base, place, shared.get("roots") if shared else None):
+        divides = c and not (g[0] % c if base.kind == "Q" else ffpoly.rem(base.field, g[0], c))
+        if divides and base.is_zero(ffpoly.evaluate(base, g, c)):
             root = rings.element_to_text(c, base)
             if desc.depth:
                 n = base.char ** desc.depth
@@ -216,13 +236,17 @@ def _reducibility_witness(f, base):
     return None
 
 
-def require_no_reducibility_witness(f, base):
-    w = _reducibility_witness(f, base)
+def require_no_reducibility_witness(f, base, seed=None):
+    """Raise ReduciblePolynomialError on a witness of reducibility; else return
+    the residue factorization made for a verdict with ``seed``, or None."""
+    shared = None if seed is None else {"seed": seed}
+    w = _reducibility_witness(f, base, shared)
     if w is not None:
         raise ReduciblePolynomialError(
             f"polynomial is reducible over the base field: {w} "
             "(pass assume_irreducible to skip this screen)"
         )
+    return shared and shared.get("rf")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +297,14 @@ def dedekind_verdict(f, base, seed=0, *, assume_irreducible=False, lifts=None, _
     The verdict itself is a pure function of f and the base; the seed
     only feeds the internal factorization randomness and the optional
     ``lifts`` override the canonical monic lifts (the verdict does not
-    depend on the choice).
+    depend on the choice). Without ``lifts``, the screen and the verdict
+    share one residue factorization where the screen's scan of places
+    reaches the base's own place: the root search reads its residue roots
+    off the linear factors there.
     """
     f = _validate(f, base)
     if not assume_irreducible and _rf is None:
-        require_no_reducibility_witness(f, base)
+        _rf = require_no_reducibility_witness(f, base, seed if lifts is None else None)
     rf = _rf if _rf is not None else residue_factorization(f, base, seed=seed, lifts=lifts)
     witnesses = []
     ok = True

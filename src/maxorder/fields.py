@@ -20,6 +20,7 @@ from . import ffpoly
 from .errors import InputError
 
 TABLE_MAX_Q = 1 << 10  # F_1024 builds its tables in about 20 ms
+MODULUS_SCAN_CAP = 256  # candidate moduli of F_{p^e} tested, in the order of irreducibles
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least odd composite that is a strong probable prime to all of _MR_BASES
 _MR_EXACT_BELOW = 318665857834031151167461
@@ -304,14 +305,15 @@ def quotient_field(base, modulus):
     return (TableField if small else QuotientField)(base, modulus)
 
 
-def irreducibles(field, d):
+def irreducibles(field, d, limit=None):
     """The monic irreducibles of degree d over the field, in canonical order.
 
     Candidates are ordered by the integer value of their non-leading
-    coefficient vector in base q, constant term least significant.
+    coefficient vector in base q, constant term least significant, and
+    only the first ``limit`` of them are tested (all by default).
     Deterministic, table-free.
     """
-    for idx in range(field.q ** d):
+    for idx in range(field.q ** d)[:limit]:
         coeffs, i = [], idx
         for _ in range(d):
             coeffs.append(field.element(i % field.q))
@@ -322,10 +324,17 @@ def irreducibles(field, d):
 
 
 def extension_field(p, e):
-    """F_{p^e}, built on the first of ``irreducibles`` when e > 1."""
+    """F_{p^e}, built on the first of ``irreducibles`` when e > 1.
+
+    Refused if none of the first MODULUS_SCAN_CAP candidates is
+    irreducible: so are p > MODULUS_SCAN_CAP where no binomial x^e + c is.
+    """
     if e < 1:
         raise InputError("extension degree must be >= 1")
     base = PrimeField(p)
     if e == 1:
         return base
-    return quotient_field(base, next(irreducibles(base, e)))
+    modulus = next(irreducibles(base, e, MODULUS_SCAN_CAP), None)
+    if modulus is None:
+        raise InputError(f"no irreducible modulus of degree {e} over F_{p} among the first {MODULUS_SCAN_CAP} candidates")
+    return quotient_field(base, modulus)

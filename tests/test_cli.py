@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from unittest.mock import patch
 
 import jsonschema
@@ -438,6 +439,23 @@ def test_corpus_max_deg_cap_exits_2(capsys):
         )
         assert (code, out) == (2, "")
         assert err == "error[E_INPUT]: --max-deg must be at least 1 and at most 4096\n"
+
+
+def test_extension_field_caps_exit_2_within_a_second(capsys):
+    # no binomial x^e + c is irreducible here, so the scan of candidate moduli would test at least p of them
+    refused = {
+        ("65537", "24"): "no irreducible modulus of degree 24 over F_65537 among the first 256 candidates",
+        (str(2**61 - 1), "8"): f"no irreducible modulus of degree 8 over F_{2**61 - 1} among the first 256 candidates",
+        ("101", "128"): "--e must be at least 1 and at most 64",
+    }
+    for (p, e), message in refused.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--base", "Fq", "--p", p, "--e", e, "--pi", "t", "--poly", "x^2 - t")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error[E_INPUT]: {message}\n")
+    # within the caps the modulus is the first irreducible candidate, as it was without them
+    for p, e, modulus in ((2, 2, (1, 1, 1)), (3, 2, (1, 0, 1)), (5, 2, (2, 0, 1)), (2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,))):
+        assert fields.extension_field(p, e).modulus == modulus
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

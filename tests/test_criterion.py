@@ -555,7 +555,7 @@ def test_aux_place_certificate_is_sound_and_changes_no_result(case):
     if _aux_place(f, base) is not None:
         assert not ring.is_zero(rings.discriminant(f, ring))
     fast = _reducibility_witness(f, base)
-    with patch.object(criterion, "_aux_place", lambda g, base: None):
+    with patch.object(criterion, "_aux_place", lambda g, base, shared=None: None):
         assert _reducibility_witness(f, base) == fast
 
 
@@ -595,3 +595,97 @@ def test_exact_discriminant_only_without_certificate(monkeypatch):
     assert _discriminant_calls(parse_poly("x^3 + t*x + t^2 + 1", b101), b101, monkeypatch) == 0
     b2 = _at_t(2, 1)
     assert _discriminant_calls(parse_poly("(x^2 + t)*(x^2 + x + 1)", b2), b2, monkeypatch) == 1
+
+
+# ---------------------------------------------------------------------------
+# the screen and the verdict share one residue factorization
+
+
+SHARED = [
+    (_at_t(101, 1), "x^3 + t*x + t^2 + 1"),  # f_bar = (x + 1)(x^2 - x + 1): one residue root
+    (_at_t(3, 2), "x^3 + t*x - x - 1"),  # f_bar = x^3 - x - 1, irreducible
+    (B2, "x^2 + x + 2"),  # f_bar = x (x + 1): two residue roots
+]
+
+
+@pytest.mark.parametrize("base, text", SHARED)
+def test_one_factorization_per_screened_verdict(base, text, monkeypatch):
+    """At the base's own place the screen factors f once, for itself and the verdict, and takes no x^Q."""
+    f = parse_poly(text, base)
+    list(islice(base.places(), AUX_PLACES))  # built once per base, before counting
+    factor_monic, pow_mod = ffpoly.factor_monic, ffpoly._Polys.pow_mod
+    calls, inside, stray = [], [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        inside.append(True)
+        try:
+            return factor_monic(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def watched(self, a, n, m):
+        if not inside:
+            stray.append(n)
+        return pow_mod(self, a, n, m)
+
+    monkeypatch.setattr(ffpoly, "factor_monic", counted)
+    monkeypatch.setattr(ffpoly._Polys, "pow_mod", watched)
+    verdict = dedekind_verdict(f, base, seed=3)
+    assert all(l == 1 for _, l in verdict.factorization.factors)
+    assert len(calls) == 1 and stray == []
+    monkeypatch.undo()
+    assert verdict == dedekind_verdict(f, base, seed=3, assume_irreducible=True)
+
+
+def _divides(c, a, base):
+    if base.kind == "Q":
+        return c != 0 and a % c == 0
+    return bool(c) and not ffpoly.rem(base.field, a, c)
+
+
+@pytest.mark.parametrize("base", [B2, _at_t(101, 1), _at_t(3, 2), _at_t(5, 1)])
+def test_a_candidate_that_does_not_divide_g0_is_not_evaluated(base, monkeypatch):
+    # irreducible, with residue roots whose Newton lifts have degree 1 in t (Q: the lifts 2 and -3 mod 8)
+    f = parse_poly("x^2 + x + 2" if base.kind == "Q" else "x^2 + t*x + t + 1", base)
+    candidates, evaluated = [], []
+    find, evaluate = criterion._fq_root_candidates, ffpoly.evaluate
+
+    def recorded(*args):
+        out = find(*args)
+        candidates.extend(out)
+        return out
+
+    def watched(field, a, x0):
+        if field is base:
+            evaluated.append(x0)
+        return evaluate(field, a, x0)
+
+    monkeypatch.setattr(criterion, "_fq_root_candidates", recorded)
+    monkeypatch.setattr(ffpoly, "evaluate", watched)
+    assert _reducibility_witness(f, base) is None
+    assert evaluated == [c for c in candidates if _divides(c, f[0], base)]
+    assert len(evaluated) < len(candidates)
+
+
+@pytest.mark.parametrize("base, text", [(B5, "(x - 1)*(x^2 + 2)"), (_at_t(101, 1), "(x - t)*(x^2 + t + 1)")])
+def test_reducible_with_bad_lifts_is_refused_before_the_lifts_are_checked(base, text):
+    f = parse_poly(text, base)
+    with pytest.raises(ReduciblePolynomialError):
+        dedekind_verdict(f, base, lifts=((base.one,),))
+    with pytest.raises(InputError):
+        dedekind_verdict(f, base, lifts=((base.one,),), assume_irreducible=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_screen_input(), _poly_with_root()), st.integers(0, 9))
+def test_sharing_the_factorization_changes_no_result(case, seed):
+    base, f = case
+    shared = {"seed": seed}
+    witness = _reducibility_witness(f, base, shared)
+    assert witness == _reducibility_witness(f, base)
+    if "rf" in shared:
+        assert frobenius_descent(f, base).depth == 0
+        assert shared["rf"] == residue_factorization(f, base)
+    if witness is None:
+        assert dedekind_verdict(f, base, seed) == dedekind_verdict(f, base, seed, assume_irreducible=True)

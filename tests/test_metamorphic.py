@@ -8,11 +8,19 @@ at t and reduces by (t + c)^m at t + c. The residue factors and their
 canonical lifts are the same at both places, so every report must agree.
 The Frobenius map u -> u^p on the coefficients in F_{p^e} is a field
 automorphism: it takes f at pi to its image at the image of pi, and every
-report to its image. Over Q the Taylor shift x -> x + c keeps
-Z[alpha] = Z[alpha - c] but moves the residue factors, so the splitting
-and the identities are compared as multisets.
+report to its image. The Taylor shift x -> x + c keeps R[alpha] =
+R[alpha - c] but moves the residue factors, so over Q and F_q(t) the
+splitting and the identities are compared as multisets.
+
+Whether the reducibility screen refuses f is a property of f over the
+base field, so neither t -> t + c nor the Taylor shift may change it. The
+screen's first auxiliary place is t: at pi = t it is the base's own, so
+the screen factors f there for the verdict and takes its residue roots
+from that factorization, while at pi = t + c it mostly computes them
+itself at t.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -20,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxorder import ffpoly
-from maxorder.criterion import count_extensions, dedekind_verdict, split_prime
-from maxorder.errors import VerdictFalseError
+from maxorder.cli import parse_poly
+from maxorder.criterion import count_extensions, dedekind_verdict, frobenius_descent, split_prime
+from maxorder.errors import ReduciblePolynomialError, VerdictFalseError
 from maxorder.fields import extension_field
 from maxorder.hensel import verify_valuation_identities
 from maxorder.rings import FunctionRing, ValuedBase
@@ -114,12 +123,14 @@ def test_frobenius_on_the_coefficients_changes_nothing(data):
 
 def multisets(f, base):
     verdict = dedekind_verdict(f, base, assume_irreducible=True)
+    count = count_extensions(f, base, assume_irreducible=True)[:2]  # status and t
     if not verdict.integrally_closed:
-        return False, None, None
+        return False, count, None, None
     split = split_prime(f, base, _verdict=verdict).ideals
     report = verify_valuation_identities(f, base, _verdict=verdict)
     return (
         True,
+        count,
         Counter((ideal.e, ideal.f) for ideal in split),
         Counter(entry[1:] for entry in report.entries),  # all but the index of the residue factor
     )
@@ -133,3 +144,65 @@ def test_taylor_shift_over_q_changes_no_multiset(data):
     f = tuple(a + base.p * u for a, u in zip(fbar, lower)) + (1,)
     c = data.draw(st.integers(-3, 3).filter(bool))
     assert multisets(f, base) == multisets(shift(base, f, c), base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_taylor_shift_over_fq_t_changes_no_multiset(data):
+    field = data.draw(st.sampled_from([FIELDS[0], FIELDS[1], FIELDS[4]]))  # F_2, F_3, F_9
+    elements = st.integers(0, field.q - 1).map(field.element)
+    base = FunctionRing(field, (field.zero, field.one))
+    f = perturbed(data, field, elements)
+    c = data.draw(st.lists(elements, min_size=1, max_size=2).map(lambda a: ffpoly.trim(field, a)).filter(bool))
+    assert multisets(f, base) == multisets(shift(base, f, c), base)
+
+
+def refused(f, base):
+    """Whether the screen refuses f; a root that it reports must be a root of its own input."""
+    try:
+        dedekind_verdict(f, base)
+    except ReduciblePolynomialError as error:
+        root = re.search(r"[xy] = (.+?) is a root", str(error))
+        if root:
+            c = parse_poly(root[1], base)
+            assert base.is_zero(ffpoly.evaluate(base, frobenius_descent(f, base).inner, c[0] if c else base.zero))
+        return True
+    return False
+
+
+@st.composite
+def with_a_root(draw, base, coefficients):
+    """(x - c) h with monic h of degree 1 to 3, or a monic f of degree 2 to 4; and whether it was built with a root.
+
+    The constant terms are not zero, so that a refusal needs more than x | f.
+    """
+    def monic(low, high):
+        return (draw(coefficients.filter(bool)),) + tuple(draw(st.lists(coefficients, min_size=low, max_size=high))) + (base.one,)
+
+    if draw(st.booleans()):
+        return ffpoly.mul(base, (base.neg(draw(coefficients.filter(bool))), base.one), monic(0, 2)), True
+    return monic(1, 3), False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_screen_refuses_the_same_inputs_at_t_and_t_plus_c(data):
+    field = data.draw(st.sampled_from([FIELDS[0], FIELDS[1], FIELDS[3], FIELDS[4]]))  # F_2, F_3, F_4, F_9
+    elements = st.integers(0, field.q - 1).map(field.element)
+    at_t = FunctionRing(field, (field.zero, field.one))
+    f, has_root = data.draw(with_a_root(at_t, st.lists(elements, max_size=3).map(lambda a: ffpoly.trim(field, a))))
+    c = field.element(data.draw(st.integers(1, field.q - 1)))
+    screened = refused(f, at_t)
+    assert screened == refused(tuple(shift(field, a, c) for a in f), FunctionRing(field, (c, field.one)))
+    assert screened or not has_root
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_screen_refuses_the_same_inputs_under_a_taylor_shift_over_q(data):
+    base = ValuedBase.rational(data.draw(st.sampled_from([2, 3, 5])))
+    f, has_root = data.draw(with_a_root(base, st.integers(-9, 9)))
+    c = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    screened = refused(f, base)
+    assert screened == refused(shift(base, f, c), base)
+    assert screened or not has_root
